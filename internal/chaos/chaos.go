@@ -321,9 +321,14 @@ func checkImage(dom *hypervisor.Domain, dest *migration.Destination, rep *migrat
 	}
 	store := dom.Store()
 	var bad []mem.PFN
+	var buf []byte
 	rep.FinalTransfer.Range(func(p mem.PFN) bool {
 		got, ok := dest.PageDigestAt(p)
-		if ok && got != mem.PageDigest(store.Export(p)) {
+		if !ok {
+			return true
+		}
+		buf = store.AppendExport(buf[:0], p)
+		if got != mem.PageDigest(buf) {
 			bad = append(bad, p)
 		}
 		return len(bad) < 8

@@ -149,6 +149,13 @@ func (r Rule) Validate() error {
 			return fmt.Errorf("faults: %s is window-activated; #nth/count do not apply", r.Site)
 		}
 	}
+	if r.At < 0 || r.For < 0 || r.Delay < 0 {
+		return fmt.Errorf("faults: %s rule has a negative duration", r.Site)
+	}
+	if !(r.Factor >= 0) {
+		// Also rejects NaN, which no window can be scaled by.
+		return fmt.Errorf("faults: %s factor %v is not a non-negative number", r.Site, r.Factor)
+	}
 	if r.Host != "" && !r.Site.HostScoped() {
 		return fmt.Errorf("faults: %s is not host-scoped; host= does not apply", r.Site)
 	}
@@ -266,17 +273,29 @@ func (i *Injector) record(site Site, occ uint64) {
 }
 
 // Fire reports whether a discrete fault at site fires for this occurrence.
-// Every call counts one occurrence of the site.
+// Every call counts one occurrence of the site. The disarmed check is
+// inlined into callers, so a fault-free run pays no call per check.
 func (i *Injector) Fire(site Site) bool {
-	_, ok := i.FireRule(site)
-	return ok
+	if i == nil || !i.armed {
+		return false
+	}
+	return i.fire(site) != nil
 }
 
 // FireRule is Fire returning the matched rule (for Delay and friends).
 func (i *Injector) FireRule(site Site) (Rule, bool) {
-	if !i.Armed() {
+	if i == nil || !i.armed {
 		return Rule{}, false
 	}
+	if rs := i.fire(site); rs != nil {
+		return rs.Rule, true
+	}
+	return Rule{}, false
+}
+
+// fire counts one occurrence of a discrete site on an armed injector and
+// returns the rule that fired for it, or nil.
+func (i *Injector) fire(site Site) *ruleState {
 	i.occ[site]++
 	n := i.occ[site]
 	now := i.clock.Now()
@@ -299,9 +318,9 @@ func (i *Injector) FireRule(site Site) (Rule, bool) {
 		}
 		rs.fired++
 		i.record(site, n)
-		return rs.Rule, true
+		return rs
 	}
-	return Rule{}, false
+	return nil
 }
 
 // windowActive reports whether any rule of the windowed site covers now,
@@ -362,6 +381,9 @@ func (i *Injector) BandwidthFactor() float64 {
 // current virtual time. While down, every receive at the host fails
 // permanently and fabric ports dialled to it refuse transfers.
 func (i *Injector) HostDown(host string) bool {
+	if i == nil || !i.armed {
+		return false
+	}
 	_, down := i.hostWindow(SiteHostCrash, host)
 	return down
 }
@@ -395,16 +417,17 @@ func (i *Injector) HostDownUntil(host string) (time.Duration, bool) {
 // HostFlaky reports whether a host.flaky window covers the named host:
 // every page receive at the host fails transiently until it passes.
 func (i *Injector) HostFlaky(host string) bool {
+	if i == nil || !i.armed {
+		return false
+	}
 	_, flaky := i.hostWindow(SiteHostFlaky, host)
 	return flaky
 }
 
-// hostWindow is windowActive with host matching: the first covering rule of
-// the host-scoped site wins, and its activation is recorded once.
+// hostWindow is windowActive with host matching on an armed injector: the
+// first covering rule of the host-scoped site wins, and its activation is
+// recorded once.
 func (i *Injector) hostWindow(site Site, host string) (*ruleState, bool) {
-	if !i.Armed() {
-		return nil, false
-	}
 	now := i.clock.Now()
 	for _, rs := range i.rules {
 		if rs.Site != site || !rs.matchesHost(host) {

@@ -338,3 +338,23 @@ func TestHostWindowsScopeToNamedHost(t *testing.T) {
 		t.Fatal("host faults outlived their windows")
 	}
 }
+
+// The fault checks sit on the per-page send path: with no injector, or one
+// not yet armed, they must cost no allocation.
+func TestDisarmedChecksAllocateNothing(t *testing.T) {
+	clock := simclock.New()
+	idle, err := NewInjector(clock, Plan{{Site: SiteDestReceive}, {Site: SiteHostFlaky, For: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inj := range []*Injector{nil, idle} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if inj.Fire(SiteDestReceive) || inj.HostDown("d1") || inj.HostFlaky("d1") {
+				t.Fatal("disarmed injector fired")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("injector %p: %v allocs per check, want 0", inj, allocs)
+		}
+	}
+}

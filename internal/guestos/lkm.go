@@ -110,10 +110,10 @@ func (c *LKMConfig) fillDefaults() {
 // found in a skip-over area").
 type appState struct {
 	proc     *Process
-	areas    []mem.VARange      // page-aligned remembered areas
-	cache    map[mem.VA]mem.PFN // PFN cache: skip-page VA -> PFN
-	ready    bool               // responded suspension-ready this migration
-	hasAreas bool               // reported at least one non-empty area
+	areas    []mem.VARange // page-aligned remembered areas
+	cache    pfnCache      // PFN cache: skip-page VA -> PFN
+	ready    bool          // responded suspension-ready this migration
+	hasAreas bool          // reported at least one non-empty area
 }
 
 // LKM is the loadable kernel module of the framework: communication proxy,
@@ -295,7 +295,7 @@ func (l *LKM) CacheBytes() uint64 { return uint64(l.CacheHighWater) * 4 }
 func (l *LKM) CacheEntries() int {
 	var total int
 	for _, st := range l.apps {
-		total += len(st.cache)
+		total += st.cache.count()
 	}
 	return total
 }
@@ -305,10 +305,7 @@ func (l *LKM) CacheEntries() int {
 // socket. handler receives the LKM's multicasts.
 func (l *LKM) RegisterApp(proc *Process, handler func(msg any)) *Socket {
 	sock := l.guest.Bus.Subscribe(handler)
-	l.apps[sock.App()] = &appState{
-		proc:  proc,
-		cache: make(map[mem.VA]mem.PFN),
-	}
+	l.apps[sock.App()] = &appState{proc: proc}
 	return sock
 }
 
@@ -395,7 +392,7 @@ func (l *LKM) onVMResumed() {
 	// (paper Figure 4): forget areas, drop caches, reset the bitmap.
 	for _, st := range l.apps {
 		st.areas = nil
-		st.cache = make(map[mem.VA]mem.PFN)
+		st.cache.reset()
 		st.ready = false
 		st.hasAreas = false
 	}
@@ -526,7 +523,7 @@ func (l *LKM) firstUpdate(st *appState, areas []mem.VARange) {
 		st.hasAreas = true
 		st.proc.AS.Walk(aligned, func(va mem.VA, p mem.PFN) {
 			l.transfer.Clear(p)
-			st.cache[va] = p
+			st.cache.put(va, p)
 		})
 	}
 	l.noteCacheSize(st)
@@ -542,9 +539,8 @@ func (l *LKM) shrink(st *appState, left []mem.VARange) {
 		start := r.Start.PageBase()
 		end := (r.End + mem.PageMask).PageBase()
 		for va := start; va < end; va += mem.PageSize {
-			if p, ok := st.cache[va]; ok {
+			if p, ok := st.cache.del(va); ok {
 				l.transfer.Set(p)
-				delete(st.cache, va)
 			}
 		}
 		// Update the remembered areas.
@@ -574,20 +570,20 @@ func (l *LKM) finalUpdateForApp(st *appState, areas []mem.VARange) {
 	if l.cfg.FinalUpdateRewalk {
 		// Re-walk every final area from scratch and diff against the PFNs
 		// remembered since the first update.
-		fresh := make(map[mem.VA]mem.PFN, len(st.cache))
+		var fresh pfnCache
 		for _, a := range final {
 			st.proc.AS.Walk(a, func(va mem.VA, pfn mem.PFN) {
-				fresh[va] = pfn
+				fresh.put(va, pfn)
 				l.transfer.Clear(pfn)
 				walked++
 			})
 		}
-		for va, pfn := range st.cache {
+		st.cache.each(func(va mem.VA, pfn mem.PFN) {
 			cacheOps++
-			if _, still := fresh[va]; !still {
+			if _, still := fresh.get(va); !still {
 				l.transfer.Set(pfn)
 			}
-		}
+		})
 		st.cache = fresh
 		st.areas = final
 		l.noteCacheSize(st)
@@ -611,7 +607,7 @@ func (l *LKM) finalUpdateForApp(st *appState, areas []mem.VARange) {
 		for _, p := range pieces {
 			st.proc.AS.Walk(p, func(va mem.VA, pfn mem.PFN) {
 				l.transfer.Clear(pfn)
-				st.cache[va] = pfn
+				st.cache.put(va, pfn)
 				walked++
 			})
 		}
@@ -629,9 +625,8 @@ func (l *LKM) finalUpdateForApp(st *appState, areas []mem.VARange) {
 		}
 		for _, p := range pieces {
 			for va := p.Start; va < p.End; va += mem.PageSize {
-				if pfn, ok := st.cache[va]; ok {
+				if pfn, ok := st.cache.del(va); ok {
 					l.transfer.Set(pfn)
-					delete(st.cache, va)
 					cacheOps++
 				}
 			}
@@ -652,17 +647,15 @@ func (l *LKM) finalUpdateForApp(st *appState, areas []mem.VARange) {
 // restoreAll restores full transfer for an application's entire skip-over
 // set — the straggler fallback.
 func (l *LKM) restoreAll(st *appState) {
-	for va, p := range st.cache {
-		l.transfer.Set(p)
-		delete(st.cache, va)
-	}
+	st.cache.each(func(_ mem.VA, p mem.PFN) { l.transfer.Set(p) })
+	st.cache.reset()
 	st.areas = nil
 }
 
 func (l *LKM) noteCacheSize(st *appState) {
 	var total int
 	for _, s := range l.apps {
-		total += len(s.cache)
+		total += s.cache.count()
 	}
 	_ = st
 	if total > l.CacheHighWater {

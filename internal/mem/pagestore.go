@@ -23,9 +23,10 @@ type PageStore interface {
 	Write(p PFN) uint64
 	// Version returns the page's current version (0 = never written).
 	Version(p PFN) uint64
-	// Export serializes page p for transmission.
-	Export(p PFN) []byte
-	// Import overwrites page p with data produced by Export.
+	// AppendExport appends page p's serialized form to dst and returns the
+	// extended slice, so hot paths can reuse one buffer for every page.
+	AppendExport(dst []byte, p PFN) []byte
+	// Import overwrites page p with data produced by AppendExport.
 	Import(p PFN, data []byte) error
 	// WireSize returns the number of bytes a page transfer occupies on the
 	// network. For both stores this is PageSize: the version encoding is a
@@ -56,12 +57,10 @@ func (s *VersionStore) Write(p PFN) uint64 {
 // Version implements PageStore.
 func (s *VersionStore) Version(p PFN) uint64 { return s.versions[p] }
 
-// Export implements PageStore. The wire format is the 8-byte big-endian
-// version.
-func (s *VersionStore) Export(p PFN) []byte {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, s.versions[p])
-	return buf
+// AppendExport implements PageStore. The wire format is the 8-byte
+// big-endian version.
+func (s *VersionStore) AppendExport(dst []byte, p PFN) []byte {
+	return binary.BigEndian.AppendUint64(dst, s.versions[p])
 }
 
 // Import implements PageStore.
@@ -128,13 +127,11 @@ func (s *ByteStore) Page(p PFN) []byte {
 // Version implements PageStore.
 func (s *ByteStore) Version(p PFN) uint64 { return s.versions[p] }
 
-// Export implements PageStore. The wire format is version followed by the
-// raw page bytes.
-func (s *ByteStore) Export(p PFN) []byte {
-	buf := make([]byte, 8+PageSize)
-	binary.BigEndian.PutUint64(buf[:8], s.versions[p])
-	copy(buf[8:], s.Page(p))
-	return buf
+// AppendExport implements PageStore. The wire format is version followed by
+// the raw page bytes.
+func (s *ByteStore) AppendExport(dst []byte, p PFN) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, s.versions[p])
+	return append(dst, s.Page(p)...)
 }
 
 // Import implements PageStore.

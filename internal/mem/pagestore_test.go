@@ -27,8 +27,10 @@ func TestVersionStoreExportImportRoundTrip(t *testing.T) {
 	src.Write(1)
 	src.Write(1)
 	src.Write(3)
+	var buf []byte
 	for p := PFN(0); p < 4; p++ {
-		if err := dst.Import(p, src.Export(p)); err != nil {
+		buf = src.AppendExport(buf[:0], p)
+		if err := dst.Import(p, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,8 +82,10 @@ func TestByteStoreExportImportRoundTrip(t *testing.T) {
 	src.Write(0)
 	src.Write(2)
 	src.Write(2)
+	var buf []byte
 	for p := PFN(0); p < 3; p++ {
-		if err := dst.Import(p, src.Export(p)); err != nil {
+		buf = src.AppendExport(buf[:0], p)
+		if err := dst.Import(p, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,6 +103,39 @@ func TestByteStoreImportBadPayload(t *testing.T) {
 	s := NewByteStore(1)
 	if err := s.Import(0, make([]byte, PageSize)); err == nil {
 		t.Fatal("payload without version header accepted")
+	}
+}
+
+// AppendExport appends after whatever dst already holds: the engine packs a
+// whole chunk of payloads into one buffer and slices them back out.
+func TestAppendExportAppends(t *testing.T) {
+	for _, store := range []PageStore{NewVersionStore(2), NewByteStore(2)} {
+		store.Write(1)
+		one := store.AppendExport(nil, 1)
+		packed := store.AppendExport(store.AppendExport([]byte("hdr"), 0), 1)
+		if string(packed[:3]) != "hdr" {
+			t.Fatalf("%T: prefix overwritten", store)
+		}
+		if !bytes.Equal(packed[len(packed)-len(one):], one) {
+			t.Fatalf("%T: appended payload differs from a lone export", store)
+		}
+		if want := 3 + 2*len(one); len(packed) != want {
+			t.Fatalf("%T: packed length %d, want %d", store, len(packed), want)
+		}
+	}
+}
+
+// Exporting into a buffer with room allocates nothing: the per-page send
+// path depends on it.
+func TestVersionStoreAppendExportAllocs(t *testing.T) {
+	s := NewVersionStore(16)
+	s.Write(3)
+	buf := make([]byte, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = s.AppendExport(buf[:0], 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendExport into a sized buffer: %v allocs, want 0", allocs)
 	}
 }
 

@@ -146,7 +146,8 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 // lazy engine's retry machinery re-sends the page; the verified re-delivery
 // counts as a repair.
 func (s *Source) lazyDeliver(p mem.PFN) error {
-	payload := s.Dom.Store().Export(p)
+	s.exportBuf = s.Dom.Store().AppendExport(s.exportBuf[:0], p)
+	payload := s.exportBuf
 	if err := s.sink.ReceivePage(p, s.wirePayload(p, payload)); err != nil {
 		return err
 	}
@@ -212,7 +213,8 @@ func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 	stats.PagesAudited += ig.sent.Count()
 	span := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindIntegrityAudit, "integrity-audit",
 		obs.Uint64("pages", ig.sent.Count()))
-	rawWire := s.Dom.Store().WireSize()
+	store := s.Dom.Store()
+	rawWire := store.WireSize()
 	for round := 0; ; round++ {
 		stats.AuditRounds++
 		var bad []mem.PFN
@@ -239,7 +241,8 @@ func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 			return
 		}
 		for _, p := range bad {
-			payload := s.Dom.Store().Export(p)
+			s.exportBuf = store.AppendExport(s.exportBuf[:0], p)
+			payload := s.exportBuf
 			w, encodeCPU := s.codec.Encode(p, rawWire)
 			var d time.Duration
 			send := func() error {

@@ -155,7 +155,7 @@ func TestIntegrityDisableIsSilent(t *testing.T) {
 	// the source's content for the corrupted pages.
 	diverged := 0
 	for p := mem.PFN(0); uint64(p) < 512; p++ {
-		if got, ok := r.dest.PageDigestAt(p); ok && got != mem.PageDigest(r.dom.Store().Export(p)) {
+		if got, ok := r.dest.PageDigestAt(p); ok && got != mem.PageDigest(r.dom.Store().AppendExport(nil, p)) {
 			diverged++
 		}
 	}

@@ -97,6 +97,24 @@ type Source struct {
 	integ         *integrityState
 	pendingResume *ResumeToken
 	resumeRefetch *mem.Bitmap
+
+	// Page-export buffers, reused across chunks, iterations and runs so the
+	// steady-state send path allocates nothing. chunk lists the pages of the
+	// chunk being built and arena packs their payloads back to back (chunk
+	// entries hold offsets, because the arena may move when it grows);
+	// exportBuf holds the single payload of a lazy-engine delivery or an
+	// integrity repair.
+	chunk     []chunkPage
+	arena     []byte
+	exportBuf []byte
+}
+
+// chunkPage is one page queued for the current chunk: its payload is
+// arena[off:end].
+type chunkPage struct {
+	pfn      mem.PFN
+	off, end int
+	wire     uint64
 }
 
 // Errors returned by the migration engines.
@@ -525,14 +543,10 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 		obs.Int("index", index), obs.Uint64("pages_considered", st.PagesConsidered))
 	dirtyBefore := s.Dom.DirtyEvents()
 
-	rawWire := s.Dom.Store().WireSize()
+	store := s.Dom.Store()
+	rawWire := store.WireSize()
 
-	type pagePayload struct {
-		pfn     mem.PFN
-		payload []byte
-		wire    uint64
-	}
-	chunk := make([]pagePayload, 0, s.Cfg.ChunkPages)
+	s.chunk = s.chunk[:0]
 	var chunkWire uint64
 
 	sendClass := ledger.ClassLive
@@ -541,7 +555,7 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 	}
 
 	flush := func() {
-		if len(chunk) == 0 {
+		if len(s.chunk) == 0 {
 			return
 		}
 		fail := func(cs *obs.Span, err error) {
@@ -550,11 +564,17 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 			// so totals keep reconciling on the aborted run.
 			s.fail(err)
 			cs.End(obs.Str("error", err.Error()))
-			chunk = chunk[:0]
+			s.chunk = s.chunk[:0]
+			s.arena = s.arena[:0]
 			chunkWire = 0
 		}
-		cs := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindChunk, "chunk",
-			obs.Int("pages", len(chunk)), obs.Uint64("wire_bytes", chunkWire))
+		var cs *obs.Span
+		if t := s.Cfg.Tracer; t != nil {
+			// Guarded: building the attributes allocates even for a nil
+			// tracer, and this runs once per chunk.
+			cs = t.Begin(obs.TrackMigration, obs.KindChunk, "chunk",
+				obs.Int("pages", len(s.chunk)), obs.Uint64("wire_bytes", chunkWire))
+		}
 		var d time.Duration
 		var elapsed bool
 		send := func() error {
@@ -568,8 +588,8 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 				return
 			}
 		}
-		for _, pp := range chunk {
-			if err := s.deliverPage(pp.pfn, pp.payload); err != nil {
+		for _, pp := range s.chunk {
+			if err := s.deliverPage(pp.pfn, s.arena[pp.off:pp.end]); err != nil {
 				fail(cs, err)
 				return
 			}
@@ -589,7 +609,8 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 				s.degradePending.Clear(pp.pfn)
 			}
 		}
-		chunk = chunk[:0]
+		s.chunk = s.chunk[:0]
+		s.arena = s.arena[:0]
 		chunkWire = 0
 		if !elapsed {
 			s.advance(d)
@@ -636,8 +657,10 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 		// (inside flush): a chunk lost to a permanent failure is then
 		// invisible to report, ledger and metrics alike, so the three keep
 		// reconciling even on an aborted run.
-		chunk = append(chunk, pagePayload{pfn: p, payload: s.Dom.Store().Export(p), wire: w})
-		if uint64(len(chunk)) >= s.Cfg.ChunkPages {
+		off := len(s.arena)
+		s.arena = store.AppendExport(s.arena, p)
+		s.chunk = append(s.chunk, chunkPage{pfn: p, off: off, end: len(s.arena), wire: w})
+		if uint64(len(s.chunk)) >= s.Cfg.ChunkPages {
 			flush()
 		}
 		return true

@@ -131,6 +131,7 @@ func (s *Source) resumeTrust(token *ResumeToken) (trusted *mem.Bitmap, reason st
 	n := s.Dom.NumPages()
 	trusted = mem.NewBitmap(n)
 	store := s.Dom.Store()
+	var buf []byte
 	token.Received.Range(func(p mem.PFN) bool {
 		if dirty.Test(p) {
 			return true // written since the abort: destination copy is stale
@@ -139,7 +140,8 @@ func (s *Source) resumeTrust(token *ResumeToken) (trusted *mem.Bitmap, reason st
 		if !ok || got != token.Digests[p] {
 			return true // destination no longer holds what the token claims
 		}
-		if got != mem.PageDigest(store.Export(p)) {
+		buf = store.AppendExport(buf[:0], p)
+		if got != mem.PageDigest(buf) {
 			return true // digest mismatch vs the source's current content
 		}
 		trusted.Set(p)

@@ -248,6 +248,10 @@ var _ SuspensionProtocol = (*guestos.DaemonProtocol)(nil)
 // (with optional Tee mirroring); replication and tests may substitute their
 // own. A non-nil error means the page did NOT land: the engine retries
 // transient errors with backoff and aborts on ErrDestinationLost.
+//
+// The payload is valid only for the duration of ReceivePage: the engine
+// reuses its export buffers for the next page, so a sink that keeps a
+// payload must copy it.
 type PageSink interface {
 	ReceivePage(p mem.PFN, payload []byte) error
 }

@@ -21,14 +21,14 @@ func validStream(tb testing.TB) []byte {
 	var buf bytes.Buffer
 	w := netsim.NewPageWriter(&buf)
 	for _, p := range []mem.PFN{0, 1} {
-		if err := w.WritePage(p, src.Export(p)); err != nil {
+		if err := w.WritePage(p, src.AppendExport(nil, p)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	if err := w.EndIteration(); err != nil {
 		tb.Fatal(err)
 	}
-	if err := w.WritePage(2, src.Export(2)); err != nil {
+	if err := w.WritePage(2, src.AppendExport(nil, 2)); err != nil {
 		tb.Fatal(err)
 	}
 	if err := w.EndStream(); err != nil {

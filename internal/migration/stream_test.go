@@ -22,7 +22,7 @@ func TestReceiveIntoStoreRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := netsim.NewPageWriter(&buf)
 	for p := mem.PFN(0); p < 8; p++ {
-		if err := w.WritePage(p, src.Export(p)); err != nil {
+		if err := w.WritePage(p, src.AppendExport(nil, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestReceiveIntoStoreRoundTrip(t *testing.T) {
 func TestReceiveIntoStoreRejectsBadPFN(t *testing.T) {
 	var buf bytes.Buffer
 	w := netsim.NewPageWriter(&buf)
-	payload := mem.NewByteStore(10).Export(0)
+	payload := mem.NewByteStore(10).AppendExport(nil, 0)
 	if err := w.WritePage(9, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestReceiveIntoStoreRejectsBadPFN(t *testing.T) {
 func TestReceiveIntoStoreTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
 	w := netsim.NewPageWriter(&buf)
-	if err := w.WritePage(0, mem.NewByteStore(1).Export(0)); err != nil {
+	if err := w.WritePage(0, mem.NewByteStore(1).AppendExport(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -243,7 +243,7 @@ func TestPageStreamOverTCP(t *testing.T) {
 	store.Write(0)
 	store.Write(3)
 	for p := mem.PFN(0); p < 4; p++ {
-		if err := w.WritePage(p, store.Export(p)); err != nil {
+		if err := w.WritePage(p, store.AppendExport(nil, p)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -243,19 +243,19 @@ func (a *AddressSpace) Walk(r mem.VARange, fn func(va mem.VA, p mem.PFN)) {
 
 // MapRange allocates fresh frames for every page of the page-aligned range r.
 // On allocation failure it unwinds its own mappings and returns the error.
+// Map panics on an already-mapped page, so every page below the failing one
+// was mapped by this call and the unwind is a walk back over [r.Start, va).
 func (a *AddressSpace) MapRange(r mem.VARange) error {
 	r = r.PageAlignInward()
-	var done []mem.VA
 	for va := r.Start; va < r.End; va += mem.PageSize {
 		p, err := a.frames.Alloc()
 		if err != nil {
-			for _, d := range done {
+			for d := r.Start; d < va; d += mem.PageSize {
 				a.frames.Release(a.Unmap(d))
 			}
 			return fmt.Errorf("pagetable: MapRange(%v): %w", r, err)
 		}
 		a.Map(va, p)
-		done = append(done, va)
 	}
 	return nil
 }

@@ -203,10 +203,13 @@ func (r *Replicator) checkpoint(rep *Report, index int, dirty, transfer *mem.Bit
 	st.Pause = r.Cfg.CheckpointPauseBase +
 		time.Duration(st.SentPages)*r.Cfg.PausePerPage
 	r.Dom.Pause()
+	store := r.Dom.Store()
+	var buf []byte
 	for _, p := range toShip {
 		// The checkpoint stream has no fault story (yet): receive errors
 		// cannot occur on an injector-free destination.
-		_ = r.Backup.ReceiveCheckpointPage(p, r.Dom.Store().Export(p))
+		buf = store.AppendExport(buf[:0], p)
+		_ = r.Backup.ReceiveCheckpointPage(p, buf)
 	}
 	r.Clock.Advance(st.Pause)
 	r.Dom.Unpause()

@@ -61,6 +61,9 @@ type Proc struct {
 	done   bool
 	queued bool // in runq (guards against double-Ready)
 	pan    any  // panic captured from the process body
+	// wake is the process's Sleep timer, re-armed by every Sleep: a sleeping
+	// process is parked until it fires, so one timer per process suffices.
+	wake Timer
 }
 
 // Name returns the name the process was spawned with.
@@ -79,6 +82,7 @@ func (s *Scheduler) Go(name string, fn func()) *Proc {
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}
+	p.wake = Timer{fn: func(time.Duration) { s.ready(p) }, fired: true, clock: s.clock}
 	s.procs = append(s.procs, p)
 	s.ready(p)
 	go func() {
@@ -110,8 +114,12 @@ func (s *Scheduler) Run() {
 	defer func() { s.running = false }()
 	for {
 		if len(s.runq) > 0 {
+			// Pop in place so the queue keeps its capacity: re-slicing off
+			// the front would make every later append reallocate.
 			p := s.runq[0]
-			s.runq = s.runq[1:]
+			n := copy(s.runq, s.runq[1:])
+			s.runq[n] = nil
+			s.runq = s.runq[:n]
 			p.queued = false
 			s.step(p)
 			continue
@@ -200,7 +208,10 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: Sleep(%v): negative duration", d))
 	}
-	s.clock.AfterFunc(d, func(time.Duration) { s.ready(p) })
+	if !p.wake.fired {
+		panic(fmt.Sprintf("simclock: Sleep of %q while its wake timer is pending", p.name))
+	}
+	s.clock.arm(&p.wake, d)
 	p.Park()
 }
 

@@ -206,3 +206,25 @@ func TestSchedulerPropagatesProcPanic(t *testing.T) {
 	})
 	s.Run()
 }
+
+// A steady-state Sleep re-arms the process's own wake timer and pops the run
+// queue in place: no allocation per sleep, with a second process keeping the
+// queue handoff busy.
+func TestSleepSteadyStateAllocs(t *testing.T) {
+	c := New()
+	s := NewScheduler(c)
+	allocs := -1.0
+	s.Go("sleeper", func() {
+		s.Sleep(time.Millisecond) // grow the timer queue and run queue once
+		allocs = testing.AllocsPerRun(100, func() { s.Sleep(time.Millisecond) })
+	})
+	s.Go("peer", func() {
+		for i := 0; i < 300; i++ {
+			s.Sleep(time.Millisecond)
+		}
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Fatalf("Sleep: %v allocs per call, want 0", allocs)
+	}
+}

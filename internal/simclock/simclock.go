@@ -151,10 +151,20 @@ func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Duration)) *Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: AfterFunc(%v): negative duration", d))
 	}
-	t := &Timer{when: c.now + d, seq: c.seq, fn: fn, clock: c}
+	t := &Timer{fn: fn, clock: c}
+	c.arm(t, d)
+	return t
+}
+
+// arm queues t to fire d from now. It is the one place a timer gets its
+// (deadline, seq) position in the total event order, shared by AfterFunc and
+// the scheduler's reused per-process wake timers.
+func (c *Clock) arm(t *Timer, d time.Duration) {
+	t.when = c.now + d
+	t.seq = c.seq
+	t.fired = false
 	c.seq++
 	c.timers = append(c.timers, t)
-	return t
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending.

@@ -105,19 +105,29 @@ func (p *Process) Free(r mem.VARange) uint64 {
 func (p *Process) Write(va mem.VA) {
 	pfn, ok := p.AS.Translate(va)
 	if !ok {
-		panic(fmt.Sprintf("guestos: process %q segfault at %#x", p.name, uint64(va)))
+		p.segfault(va)
 	}
 	p.guest.Dom.WritePage(pfn)
 }
 
-// WriteRange stores to every whole page of r (aligned inward). It returns
-// the number of pages written.
+// WriteRange stores to every whole page of r (aligned inward), in ascending
+// VA order. It returns the number of pages written. The pages go to the
+// domain one page-table run at a time, and the result is the one a Write
+// per page leaves: an unmapped page panics as Write does, after every page
+// before it has been written.
 func (p *Process) WriteRange(r mem.VARange) uint64 {
 	r = r.PageAlignInward()
-	var n uint64
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		p.Write(va)
-		n++
+	for va := r.Start; va < r.End; {
+		run := p.AS.FrameRun(va, r.End)
+		if len(run) == 0 {
+			p.segfault(va)
+		}
+		p.guest.Dom.WritePages(run)
+		va += mem.VA(len(run)) * mem.PageSize
 	}
-	return n
+	return r.Pages()
+}
+
+func (p *Process) segfault(va mem.VA) {
+	panic(fmt.Sprintf("guestos: process %q segfault at %#x", p.name, uint64(va)))
 }

@@ -1,6 +1,7 @@
 package guestos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -724,6 +725,49 @@ func TestProcessWriteSetsDirty(t *testing.T) {
 	}
 	if g.Dom.DirtyCount() != 4 {
 		t.Fatalf("DirtyCount = %d, want 4", g.Dom.DirtyCount())
+	}
+}
+
+func TestWriteRangeHolePanicsAfterEarlierPages(t *testing.T) {
+	g, _ := testGuest(t)
+	p := g.NewProcess("app")
+	r := pagesAt(0x100000, 8)
+	if err := p.Alloc(r); err != nil {
+		t.Fatal(err)
+	}
+	hole := r.Start + 5*mem.PageSize
+	p.Free(mem.VARange{Start: hole, End: hole + mem.PageSize})
+	writes := g.Dom.Writes()
+	defer func() {
+		msg := recover()
+		if want := fmt.Sprintf("guestos: process %q segfault at %#x", "app", uint64(hole)); msg != want {
+			t.Fatalf("panic = %v, want %q", msg, want)
+		}
+		if got := g.Dom.Writes() - writes; got != 5 {
+			t.Fatalf("%d pages written before the hole, want 5", got)
+		}
+	}()
+	p.WriteRange(r)
+}
+
+func TestWriteRangeAndUntracedEmitsAllocateNothing(t *testing.T) {
+	g, _ := testGuest(t)
+	p := g.NewProcess("app")
+	r := pagesAt(0x100000, 1200) // starts mid-leaf and spans three leaf tables
+	if err := p.Alloc(r); err != nil {
+		t.Fatal(err)
+	}
+	g.Dom.EnableLogDirty()
+	g.Dom.BeginDirtyEpoch()
+	bus := NewBus()
+	for name, fn := range map[string]func(){
+		"Process.WriteRange":      func() { p.WriteRange(r) },
+		"LKM.setState":            func() { g.LKM.setState(StateInitialized) },
+		"Bus.Multicast (no subs)": func() { bus.Multicast(MsgQuerySkipAreas{}) },
+	} {
+		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -168,8 +168,10 @@ func (l *LKM) SetObs(t *obs.Tracer, m *obs.Metrics) {
 func (l *LKM) setState(next State) {
 	prev := l.state
 	l.state = next
-	l.tracer.Emit(obs.TrackLKM, obs.KindLKMState, next.String(), nil,
-		obs.Str("from", prev.String()), obs.Str("to", next.String()))
+	if l.tracer != nil {
+		l.tracer.Emit(obs.TrackLKM, obs.KindLKMState, next.String(), nil,
+			obs.Str("from", prev.String()), obs.Str("to", next.String()))
+	}
 }
 
 // loadLKM is called by NewGuest: the LKM is loaded when the guest is created,

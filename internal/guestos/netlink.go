@@ -80,8 +80,10 @@ func (s *Socket) Send(msg any) error {
 		s.bus.dropped++
 		return nil
 	}
-	s.bus.tracer.Emit(obs.TrackNetlink, obs.KindNetlink, msgName(msg), nil,
-		obs.Str("dir", "send"), obs.Int("app", int(s.app)))
+	if t := s.bus.tracer; t != nil {
+		t.Emit(obs.TrackNetlink, obs.KindNetlink, msgName(msg), nil,
+			obs.Str("dir", "send"), obs.Int("app", int(s.app)))
+	}
 	if r, ok := s.bus.faults.FireRule(faults.SiteNetlinkDelay); ok {
 		s.bus.delayed++
 		bus, app := s.bus, s.app
@@ -161,8 +163,10 @@ func (b *Bus) Subscribe(handler func(msg any)) *Socket {
 // loss and delay faults, so one application can miss a query the others
 // received.
 func (b *Bus) Multicast(msg any) {
-	b.tracer.Emit(obs.TrackNetlink, obs.KindNetlink, msgName(msg), nil,
-		obs.Str("dir", "multicast"), obs.Int("subscribers", len(b.subs)))
+	if b.tracer != nil {
+		b.tracer.Emit(obs.TrackNetlink, obs.KindNetlink, msgName(msg), nil,
+			obs.Str("dir", "multicast"), obs.Int("subscribers", len(b.subs)))
+	}
 	// Iterate in AppID order for determinism.
 	for id := AppID(1); id < b.nextID; id++ {
 		h, ok := b.subs[id]

@@ -21,9 +21,9 @@ import (
 )
 
 // Domain is a guest VM: its memory pages, dirty-tracking state and scheduling
-// state. All guest writes must go through WritePage so that log-dirty mode
-// observes them, mirroring how shadow paging / HAP log-dirty intercepts guest
-// stores.
+// state. All guest writes must go through WritePage or WritePages so that
+// log-dirty mode observes them, mirroring how shadow paging / HAP log-dirty
+// intercepts guest stores.
 type Domain struct {
 	name  string
 	clock *simclock.Clock
@@ -45,11 +45,10 @@ type Domain struct {
 	pauseCount  int
 
 	// Counters for experiment reporting.
-	writes       uint64 // guest page writes observed
-	dirtySetOps  uint64 // writes that newly dirtied a page this round
-	vcpus        int
-	writeTrapped func()          // optional log-dirty write-fault overhead hook
-	pageFault    func(p mem.PFN) // optional pre-write fault hook (post-copy)
+	writes      uint64 // guest page writes observed
+	dirtySetOps uint64 // writes that newly dirtied a page this round
+	vcpus       int
+	pageFault   func(p mem.PFN) // optional pre-write fault hook (post-copy)
 }
 
 // NewDomain creates a domain with the given memory, backed by store. The
@@ -104,9 +103,31 @@ func (d *Domain) WritePage(p mem.PFN) {
 	if d.logDirty && !d.dirty.Test(p) {
 		d.dirty.Set(p)
 		d.dirtySetOps++
-		if d.writeTrapped != nil {
-			d.writeTrapped()
+	}
+}
+
+// WritePages records one guest store to each page of run, in order, and
+// leaves exactly the state and counters that one WritePage per page leaves.
+// A paused domain or an installed fault hook takes the per-page path: the
+// first must panic before any page changes, the second must see each page
+// before its write. Otherwise the version store, the epoch bitmap and the
+// log-dirty bitmap are updated in separate tight loops. The three are
+// independent, so the order of their updates cannot show, and independent
+// updates within each loop overlap their cache misses.
+func (d *Domain) WritePages(run []mem.PFN) {
+	if d.paused || d.pageFault != nil {
+		for _, p := range run {
+			d.WritePage(p)
 		}
+		return
+	}
+	d.store.WritePages(run)
+	d.writes += uint64(len(run))
+	if d.epochDirty != nil {
+		d.epochDirty.SetEach(run)
+	}
+	if d.logDirty {
+		d.dirtySetOps += d.dirty.SetEach(run)
 	}
 }
 
@@ -115,19 +136,14 @@ func (d *Domain) WritePage(p mem.PFN) {
 // to pages that have not yet arrived at the destination.
 func (d *Domain) SetPageFaultHook(fn func(p mem.PFN)) { d.pageFault = fn }
 
-// OnWriteTrap registers a hook invoked on each first-write-per-round trap.
-// The workload driver uses it to model the guest slowdown caused by log-dirty
-// write faults during migration (paper §1 reports >20 % degradation for the
-// derby VM under vanilla Xen migration).
-func (d *Domain) OnWriteTrap(fn func()) { d.writeTrapped = fn }
-
 // Writes returns the total guest page writes observed.
 func (d *Domain) Writes() uint64 { return d.writes }
 
 // DirtyEvents returns the total number of page-dirtying events: writes that
 // newly dirtied a page within a log-dirty round. The migration engine
 // differences this counter across an iteration to report the guest's
-// dirtying rate (Figure 1's "dirtying rate" series).
+// dirtying rate (Figure 1's "dirtying rate" series), and the workload driver
+// charges one log-dirty write fault per event to guest time.
 func (d *Domain) DirtyEvents() uint64 { return d.dirtySetOps }
 
 // EnableLogDirty turns on dirty tracking with an empty dirty bitmap.

@@ -1,6 +1,8 @@
 package hypervisor
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,22 +150,20 @@ func TestWriteWhilePausedPanics(t *testing.T) {
 	d.WritePage(0)
 }
 
-func TestWriteTrapHookFiresOncePerPagePerRound(t *testing.T) {
+func TestDirtyEventsCountOncePerPagePerRound(t *testing.T) {
 	d := newTestDomain(8)
 	d.EnableLogDirty()
-	var traps int
-	d.OnWriteTrap(func() { traps++ })
 	d.WritePage(1)
-	d.WritePage(1) // already dirty: no trap
+	d.WritePage(1) // already dirty: no new event
 	d.WritePage(2)
-	if traps != 2 {
-		t.Fatalf("traps = %d, want 2", traps)
+	if got := d.DirtyEvents(); got != 2 {
+		t.Fatalf("DirtyEvents = %d, want 2", got)
 	}
 	snap := mem.NewBitmap(8)
 	d.PeekAndClear(snap)
-	d.WritePage(1) // new round: traps again
-	if traps != 3 {
-		t.Fatalf("traps = %d, want 3", traps)
+	d.WritePage(1) // new round: dirties again
+	if got := d.DirtyEvents(); got != 3 {
+		t.Fatalf("DirtyEvents = %d, want 3", got)
 	}
 }
 
@@ -232,4 +232,125 @@ func TestEventChannelRebind(t *testing.T) {
 	if a != 1 || b != 1 {
 		t.Fatalf("rebind routing wrong: a=%d b=%d", a, b)
 	}
+}
+
+// domainState is everything a guest write can change on a domain.
+type domainState struct {
+	versions           []uint64
+	dirty, epoch       *mem.Bitmap
+	writes, dirtyEvent uint64
+}
+
+func captureState(d *Domain) domainState {
+	st := domainState{
+		dirty:      mem.NewBitmap(d.NumPages()),
+		writes:     d.Writes(),
+		dirtyEvent: d.DirtyEvents(),
+	}
+	for p := mem.PFN(0); uint64(p) < d.NumPages(); p++ {
+		st.versions = append(st.versions, d.Store().Version(p))
+	}
+	d.Peek(st.dirty)
+	st.epoch, _ = d.DirtySince(d.DirtyEpoch())
+	return st
+}
+
+// TestWritePagesMatchesWritePage drives two domains with the same random
+// runs, one through WritePages and one through a WritePage per page, and
+// requires identical versions, bitmaps and counters after every run — with
+// log-dirty on and off, the epoch armed and unarmed, and rounds cleared in
+// between.
+func TestWritePagesMatchesWritePage(t *testing.T) {
+	const pages = 1 << 12
+	for _, tc := range []struct {
+		name            string
+		logDirty, epoch bool
+	}{
+		{"plain", false, false},
+		{"log-dirty", true, false},
+		{"epoch", false, true},
+		{"log-dirty+epoch", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(16))
+			runs, single := newTestDomain(pages), newTestDomain(pages)
+			for _, d := range []*Domain{runs, single} {
+				if tc.logDirty {
+					if err := d.EnableLogDirty(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.epoch {
+					d.BeginDirtyEpoch()
+				}
+			}
+			snap := mem.NewBitmap(pages)
+			for i := 0; i < 300; i++ {
+				// Runs may repeat a page: the contract holds for any
+				// sequence, not only the distinct frames of a page table.
+				run := make([]mem.PFN, rng.Intn(80))
+				for k := range run {
+					run[k] = mem.PFN(rng.Intn(pages))
+				}
+				runs.WritePages(run)
+				for _, p := range run {
+					single.WritePage(p)
+				}
+				if got, want := captureState(runs), captureState(single); !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d (%d pages): state diverged from per-page writes", i, len(run))
+				}
+				if tc.logDirty && i%50 == 49 {
+					runs.PeekAndClear(snap)
+					single.PeekAndClear(snap)
+				}
+			}
+			if runs.Writes() == 0 || (tc.logDirty && runs.DirtyEvents() == 0) {
+				t.Fatal("the runs wrote nothing")
+			}
+		})
+	}
+}
+
+func TestWritePagesRunsFaultHookPerPageInOrder(t *testing.T) {
+	d := newTestDomain(64)
+	if err := d.EnableLogDirty(); err != nil {
+		t.Fatal(err)
+	}
+	d.WritePage(9)
+	run := []mem.PFN{7, 9, 3, 40}
+	var seen []mem.PFN
+	var before []uint64
+	d.SetPageFaultHook(func(p mem.PFN) {
+		seen = append(seen, p)
+		before = append(before, d.Store().Version(p))
+	})
+	d.WritePages(run)
+	if !reflect.DeepEqual(seen, run) {
+		t.Fatalf("hook saw %v, want run order %v", seen, run)
+	}
+	if want := []uint64{0, 1, 0, 0}; !reflect.DeepEqual(before, want) {
+		t.Fatalf("hook saw versions %v, want pre-write versions %v", before, want)
+	}
+	if d.Writes() != 5 || d.DirtyEvents() != 4 {
+		t.Fatalf("Writes = %d, DirtyEvents = %d, want 5 and 4", d.Writes(), d.DirtyEvents())
+	}
+}
+
+func TestWritePagesWhilePausedPanicsBeforeAnyWrite(t *testing.T) {
+	d := newTestDomain(8)
+	d.Pause()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WritePages while paused did not panic")
+		}
+		for p := mem.PFN(0); p < 8; p++ {
+			if v := d.Store().Version(p); v != 0 {
+				t.Fatalf("page %d written (version %d) before the panic", p, v)
+			}
+		}
+		if d.Writes() != 0 {
+			t.Fatalf("Writes = %d before the panic", d.Writes())
+		}
+	}()
+	d.WritePages([]mem.PFN{2, 3, 4})
 }

@@ -43,11 +43,7 @@ func (j *JVM) Allocate(n uint64) uint64 {
 	// Touch every page the bump pointer crosses; objects are initialized
 	// as they are allocated, which is what continuously re-dirties the
 	// young generation (paper Observation 1).
-	first := (j.edenUsed) / mem.PageSize
-	last := (j.edenUsed + n - 1) / mem.PageSize
-	for pg := first; pg <= last; pg++ {
-		j.proc.Write(j.edenStart() + mem.VA(pg*mem.PageSize))
-	}
+	writeRange(j.proc, j.edenStart()+mem.VA(j.edenUsed), n)
 	j.edenUsed += n
 	j.TotalAllocated += n
 	return n
@@ -175,10 +171,12 @@ func (j *JVM) BeginMinorGC(enforced bool) time.Duration {
 		newFrom:  newFrom,
 		toLive:   toLive,
 		promoted: promoted,
-		span: j.tracer.Begin(obs.TrackJVM, obs.KindGC, gcSpanName(MinorGC, enforced),
+	}
+	if j.tracer != nil {
+		j.gc.span = j.tracer.Begin(obs.TrackJVM, obs.KindGC, gcSpanName(MinorGC, enforced),
 			obs.Bool("enforced", enforced),
 			obs.Uint64("young_used_before", st.YoungUsedBefore),
-			obs.Dur("planned_pause", d)),
+			obs.Dur("planned_pause", d))
 	}
 	return d
 }
@@ -210,7 +208,7 @@ func (j *JVM) GCCopyTick(adv time.Duration) {
 	}
 	target := uint64(float64(total) * frac)
 	if target > plan.copiedBytes {
-		j.writeRange(base+mem.VA(plan.copiedBytes), target-plan.copiedBytes)
+		writeRange(j.proc, base+mem.VA(plan.copiedBytes), target-plan.copiedBytes)
 		plan.copiedBytes = target
 	}
 }
@@ -235,7 +233,7 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 	// Copy any remainder of the live data into the To space (most of it
 	// was already written by GCCopyTick during the pause).
 	if plan.toLive > plan.copiedBytes {
-		j.writeRange(j.toStart()+mem.VA(plan.copiedBytes), plan.toLive-plan.copiedBytes)
+		writeRange(j.proc, j.toStart()+mem.VA(plan.copiedBytes), plan.toLive-plan.copiedBytes)
 	}
 
 	// Promote into the old generation, growing it as needed.
@@ -246,7 +244,7 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 				return GCStats{}, fmt.Errorf("%w: promoting %d bytes", ErrHeapExhausted, plan.promoted)
 			}
 		}
-		j.writeRange(j.oldBase+mem.VA(j.oldUsed), plan.promoted)
+		writeRange(j.proc, j.oldBase+mem.VA(j.oldUsed), plan.promoted)
 		j.oldUsed += plan.promoted
 		j.TotalPromoted += plan.promoted
 	}
@@ -324,10 +322,12 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 	j.gc = nil
 
 	spanClosed = true
-	plan.span.End(
-		obs.Uint64("garbage", st.Garbage),
-		obs.Uint64("promoted", st.Promoted),
-		obs.Dur("pause", st.Duration))
+	if plan.span != nil {
+		plan.span.End(
+			obs.Uint64("garbage", st.Garbage),
+			obs.Uint64("promoted", st.Promoted),
+			obs.Dur("pause", st.Duration))
+	}
 	if m := j.metrics; m != nil {
 		m.Counter("jvm.gc.minor").Inc()
 		m.Counter("jvm.gc.pause_ns").AddDuration(st.Duration)
@@ -388,7 +388,7 @@ func (j *JVM) CompleteFullGC() GCStats {
 	// Compaction rewrites live data; most of it was already written by
 	// GCCopyTick during the pause.
 	if plan.oldAfter > plan.copiedBytes {
-		j.writeRange(j.oldBase+mem.VA(plan.copiedBytes), plan.oldAfter-plan.copiedBytes)
+		writeRange(j.proc, j.oldBase+mem.VA(plan.copiedBytes), plan.oldAfter-plan.copiedBytes)
 	}
 	j.oldUsed = plan.oldAfter
 	j.TotalGarbage += plan.stats.Garbage

@@ -386,7 +386,7 @@ func (j *JVM) layoutYoung() {
 	j.edenBytes = j.youngCommitted - 2*j.survivorBytes
 	// Relocate live survivor data into the (possibly moved) From space.
 	if j.fromUsed > 0 {
-		j.writeRange(j.fromStart(), j.fromUsed)
+		writeRange(j.proc, j.fromStart(), j.fromUsed)
 	}
 	if j.fromUsed > j.survivorBytes {
 		// Shrinking below live data would corrupt the heap; callers only
@@ -443,21 +443,21 @@ func (j *JVM) SeedOld(bytes uint64) error {
 			return fmt.Errorf("jvm: seeding %d old bytes: %w", bytes, err)
 		}
 	}
-	j.writeRange(j.oldBase+mem.VA(j.oldUsed), bytes)
+	writeRange(j.proc, j.oldBase+mem.VA(j.oldUsed), bytes)
 	j.oldUsed += bytes
 	j.TotalAllocated += bytes
 	return nil
 }
 
-// writeRange dirties every page of [start, start+bytes).
-func (j *JVM) writeRange(start mem.VA, bytes uint64) {
+// writeRange dirties every page that [start, start+bytes) overlaps, as one
+// page-run write: bump allocation, survivor copies, promotion and compaction
+// all store to contiguous pages.
+func writeRange(proc *guestos.Process, start mem.VA, bytes uint64) {
 	if bytes == 0 {
 		return
 	}
 	end := start + mem.VA(bytes)
-	for va := start.PageBase(); va < end; va += mem.PageSize {
-		j.proc.Write(va)
-	}
+	proc.WriteRange(mem.VARange{Start: start.PageBase(), End: (end + mem.PageMask).PageBase()})
 }
 
 // --- accessors -----------------------------------------------------------

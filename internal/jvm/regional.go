@@ -306,12 +306,7 @@ func (h *RegionalHeap) Allocate(n uint64) uint64 {
 		if take > space {
 			take = space
 		}
-		base := h.regionRange(cur).Start
-		first := r.used / mem.PageSize
-		last := (r.used + take - 1) / mem.PageSize
-		for pg := first; pg <= last; pg++ {
-			h.proc.Write(base + mem.VA(pg*mem.PageSize))
-		}
+		writeRange(h.proc, h.regionRange(cur).Start+mem.VA(r.used), take)
 		r.used += take
 		done += take
 	}
@@ -544,13 +539,7 @@ func (h *RegionalHeap) CompleteMinorGC() (GCStats, error) {
 
 // writeRegionPrefix dirties the first `bytes` of region idx.
 func (h *RegionalHeap) writeRegionPrefix(idx int, bytes uint64) {
-	if bytes == 0 {
-		return
-	}
-	base := h.regionRange(idx).Start
-	for pg := uint64(0); pg*mem.PageSize < bytes; pg++ {
-		h.proc.Write(base + mem.VA(pg*mem.PageSize))
-	}
+	writeRange(h.proc, h.regionRange(idx).Start, bytes)
 }
 
 // placeOld appends bytes into old regions.
@@ -571,12 +560,7 @@ func (h *RegionalHeap) placeOld(bytes uint64) error {
 		if take > bytes {
 			take = bytes
 		}
-		base := h.regionRange(idx).Start
-		first := r.used / mem.PageSize
-		last := (r.used + take - 1) / mem.PageSize
-		for pg := first; pg <= last; pg++ {
-			h.proc.Write(base + mem.VA(pg*mem.PageSize))
-		}
+		writeRange(h.proc, h.regionRange(idx).Start+mem.VA(r.used), take)
 		r.used += take
 		bytes -= take
 	}

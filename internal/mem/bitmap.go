@@ -39,6 +39,19 @@ func (b *Bitmap) Test(p PFN) bool {
 	return b.words[p>>6]&(1<<(p&63)) != 0
 }
 
+// SetEach sets the bit of every PFN in ps and returns how many of them were
+// clear before: the same result and count as Test-then-Set per PFN. The loop
+// is branch-free, so the loads of independent words overlap.
+func (b *Bitmap) SetEach(ps []PFN) (added uint64) {
+	for _, p := range ps {
+		b.check(p)
+		w, bit := &b.words[p>>6], p&63
+		added += (^*w >> bit) & 1
+		*w |= 1 << bit
+	}
+	return added
+}
+
 func (b *Bitmap) check(p PFN) {
 	if uint64(p) >= b.n {
 		panic("mem: bitmap index out of range")

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -220,5 +221,35 @@ func TestBitmapCountIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// SetEach equals Test-then-Set per PFN: same bits, and its count is the
+// number of PFNs whose bit was clear when reached (repeats count once).
+func TestBitmapSetEachMatchesTestThenSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a, b := NewBitmap(300), NewBitmap(300)
+	for i := 0; i < 200; i++ {
+		ps := make([]PFN, rng.Intn(40))
+		for k := range ps {
+			ps[k] = PFN(rng.Intn(300))
+		}
+		var want uint64
+		for _, p := range ps {
+			if !b.Test(p) {
+				b.Set(p)
+				want++
+			}
+		}
+		if got := a.SetEach(ps); got != want {
+			t.Fatalf("SetEach = %d newly set, want %d", got, want)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("SetEach left different bits from Test-then-Set")
+		}
+		if i%40 == 39 {
+			a.ClearAll()
+			b.ClearAll()
+		}
 	}
 }

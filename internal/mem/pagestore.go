@@ -21,6 +21,10 @@ type PageStore interface {
 	// Write records a guest write to page p. It returns the page's new
 	// version.
 	Write(p PFN) uint64
+	// WritePages records one guest write to each page of ps, in order. The
+	// result equals one Write per page; it exists so a run of pages pays
+	// one interface call and the increments overlap their cache misses.
+	WritePages(ps []PFN)
 	// Version returns the page's current version (0 = never written).
 	Version(p PFN) uint64
 	// AppendExport appends page p's serialized form to dst and returns the
@@ -52,6 +56,14 @@ func (s *VersionStore) NumPages() uint64 { return uint64(len(s.versions)) }
 func (s *VersionStore) Write(p PFN) uint64 {
 	s.versions[p]++
 	return s.versions[p]
+}
+
+// WritePages implements PageStore.
+func (s *VersionStore) WritePages(ps []PFN) {
+	v := s.versions
+	for _, p := range ps {
+		v[p]++
+	}
 }
 
 // Version implements PageStore.
@@ -99,6 +111,13 @@ func (s *ByteStore) Write(p PFN) uint64 {
 	s.versions[p]++
 	s.stamp(p)
 	return s.versions[p]
+}
+
+// WritePages implements PageStore.
+func (s *ByteStore) WritePages(ps []PFN) {
+	for _, p := range ps {
+		s.Write(p)
+	}
 }
 
 // stamp fills the page with a pattern derived from (pfn, version).

@@ -125,6 +125,30 @@ func TestAppendExportAppends(t *testing.T) {
 	}
 }
 
+// WritePages equals one Write per page, repeated pages included, in both
+// stores (ByteStore's page contents too).
+func TestWritePagesMatchesWrite(t *testing.T) {
+	run := []PFN{3, 0, 3, 5, 1}
+	for _, mk := range []func() PageStore{
+		func() PageStore { return NewVersionStore(6) },
+		func() PageStore { return NewByteStore(6) },
+	} {
+		batch, single := mk(), mk()
+		batch.WritePages(run)
+		for _, p := range run {
+			single.Write(p)
+		}
+		for p := PFN(0); p < 6; p++ {
+			if batch.Version(p) != single.Version(p) {
+				t.Fatalf("%T page %d: version %d, per-page %d", batch, p, batch.Version(p), single.Version(p))
+			}
+			if !bytes.Equal(batch.AppendExport(nil, p), single.AppendExport(nil, p)) {
+				t.Fatalf("%T page %d: contents differ from per-page writes", batch, p)
+			}
+		}
+	}
+}
+
 // Exporting into a buffer with room allocates nothing: the per-page send
 // path depends on it.
 func TestVersionStoreAppendExportAllocs(t *testing.T) {

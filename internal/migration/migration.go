@@ -538,9 +538,12 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 		Last:            last,
 		PagesConsidered: toSend.Count(),
 	}
-	span := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindIteration,
-		iterationName(index, last),
-		obs.Int("index", index), obs.Uint64("pages_considered", st.PagesConsidered))
+	var span *obs.Span
+	if t := s.Cfg.Tracer; t != nil {
+		span = t.Begin(obs.TrackMigration, obs.KindIteration,
+			iterationName(index, last),
+			obs.Int("index", index), obs.Uint64("pages_considered", st.PagesConsidered))
+	}
 	dirtyBefore := s.Dom.DirtyEvents()
 
 	store := s.Dom.Store()
@@ -669,6 +672,8 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 
 	st.Duration = s.Clock.Now() - st.Start
 	st.PagesDirtiedDuring = s.Dom.DirtyEvents() - dirtyBefore
-	span.End(obs.Uint64("pages_sent", st.PagesSent), obs.Uint64("bytes_on_wire", st.BytesOnWire))
+	if span != nil {
+		span.End(obs.Uint64("pages_sent", st.PagesSent), obs.Uint64("bytes_on_wire", st.BytesOnWire))
+	}
 	return st
 }

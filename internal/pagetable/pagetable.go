@@ -227,6 +227,44 @@ func (a *AddressSpace) Translate(va mem.VA) (mem.PFN, bool) {
 	return p, true
 }
 
+// FrameRun returns the frames backing the pages of [va, end), starting at
+// va's page and stopping before the first unmapped page or at the end of
+// va's leaf table (512 pages), whichever comes first. A run therefore costs
+// one directory lookup instead of one per page, and it allocates nothing:
+// the slice aliases the leaf table and is valid only until the next Map,
+// Remap or Unmap. An unmapped va yields an empty run.
+//
+// WalkSteps advances as Translate would over the same pages: one step per
+// returned frame, or one for the probe when va is unmapped. A caller that
+// consumes a range run by run, and stops at the first empty run, accounts
+// exactly as a per-page Translate loop that stops at the first hole.
+func (a *AddressSpace) FrameRun(va, end mem.VA) []mem.PFN {
+	if end <= va {
+		return nil
+	}
+	vpn := va.PageOf()
+	t := a.dir[vpn>>dirShift]
+	if t == nil {
+		a.WalkSteps++
+		return nil
+	}
+	i := vpn & leafMask
+	stop := uint64(leafSlots)
+	if last := (end - 1).PageOf(); last-vpn < stop-i {
+		stop = i + last - vpn + 1
+	}
+	j := i
+	for j < stop && t.entries[j] != leafEmpty {
+		j++
+	}
+	if j == i {
+		a.WalkSteps++
+		return nil
+	}
+	a.WalkSteps += j - i
+	return t.entries[i:j]
+}
+
 // Walk visits every mapped page in the page-aligned range r in ascending VA
 // order, calling fn with the page's base VA and frame. This is the LKM's
 // page-table walk (§3.3.2): unmapped pages in the range are silently skipped,

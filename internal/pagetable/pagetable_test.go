@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"javmm/internal/mem"
@@ -291,6 +292,86 @@ func TestAddressSpaceRandomOpsConservation(t *testing.T) {
 		}
 		if f.Free()+a.Mapped() != frames {
 			t.Fatalf("conservation violated: free %d + mapped %d != %d", f.Free(), a.Mapped(), frames)
+		}
+	}
+}
+
+// TestFrameRunMatchesTranslate consumes random ranges run by run and checks
+// each run against per-page Translate on a twin address space: the frames
+// agree, a run never crosses a 512-page leaf table or a hole, and WalkSteps
+// advances by exactly what the per-page loop spends.
+func TestFrameRunMatchesTranslate(t *testing.T) {
+	const frames = 4096
+	rng := rand.New(rand.NewSource(16))
+	f := NewFrameAllocator(frames)
+	runs, single := NewAddressSpace(f), NewAddressSpace(f)
+	// Map 3000 of the first 3072 pages, leaving holes, identically in both.
+	for vpn := uint64(0); vpn < 3072; vpn++ {
+		if rng.Intn(40) == 0 {
+			continue
+		}
+		p, err := f.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs.Map(mem.VA(vpn*mem.PageSize), p)
+		single.Map(mem.VA(vpn*mem.PageSize), p)
+	}
+	for i := 0; i < 500; i++ {
+		start := mem.VA(rng.Intn(3200)) * mem.PageSize
+		end := start + mem.VA(1+rng.Intn(1500))*mem.PageSize
+		stepsBefore := runs.WalkSteps
+		var got []mem.PFN
+		va := start
+		for va < end {
+			run := runs.FrameRun(va, end)
+			if len(run) == 0 {
+				break // a hole: per-page writes would segfault here
+			}
+			if first, last := va.PageOf(), va.PageOf()+uint64(len(run))-1; first>>dirShift != last>>dirShift {
+				t.Fatalf("run at %#x (%d pages) crosses a leaf table", uint64(va), len(run))
+			}
+			got = append(got, run...)
+			va += mem.VA(len(run)) * mem.PageSize
+		}
+		var want []mem.PFN
+		singleBefore := single.WalkSteps
+		for pv := start; pv < end; pv += mem.PageSize {
+			p, ok := single.Translate(pv)
+			if !ok {
+				break
+			}
+			want = append(want, p)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("[%#x,%#x): runs gave %d frames, Translate %d", uint64(start), uint64(end), len(got), len(want))
+		}
+		if got, want := runs.WalkSteps-stepsBefore, single.WalkSteps-singleBefore; got != want {
+			t.Fatalf("[%#x,%#x): WalkSteps advanced %d, per-page Translate %d", uint64(start), uint64(end), got, want)
+		}
+	}
+}
+
+func TestFrameRunBoundaries(t *testing.T) {
+	a := NewAddressSpace(NewFrameAllocator(2048))
+	if err := a.MapRange(mem.VARange{Start: 0, End: 1024 * mem.PageSize}); err != nil {
+		t.Fatal(err)
+	}
+	a.frames.Release(a.Unmap(700 * mem.PageSize))
+	for _, tc := range []struct {
+		va, end mem.VA
+		want    int
+	}{
+		{0, 1024 * mem.PageSize, 512},                  // stops at the leaf boundary
+		{510 * mem.PageSize, 600 * mem.PageSize, 2},    // the rest of the first leaf
+		{512 * mem.PageSize, 1024 * mem.PageSize, 188}, // stops before the hole at 700
+		{700 * mem.PageSize, 1024 * mem.PageSize, 0},   // starts on the hole
+		{701 * mem.PageSize, 705 * mem.PageSize, 4},    // stops at end
+		{5 * mem.PageSize, 5 * mem.PageSize, 0},        // empty range
+		{2048 * mem.PageSize, 2050 * mem.PageSize, 0},  // no leaf table at all
+	} {
+		if got := len(a.FrameRun(tc.va, tc.end)); got != tc.want {
+			t.Errorf("FrameRun(%#x, %#x) = %d pages, want %d", uint64(tc.va), uint64(tc.end), got, tc.want)
 		}
 	}
 }

@@ -313,8 +313,10 @@ func (d *Driver) takeSamples() {
 		sec := int((d.nextSampleAt-d.startAt)/time.Second) - 1
 		s := Sample{Second: sec, Ops: d.TotalOps - d.sampleOpsBase}
 		d.samples = append(d.samples, s)
-		d.tracer.Emit(obs.TrackWorkload, obs.KindSample, "sample", s,
-			obs.Int("second", s.Second), obs.Float("ops", s.Ops))
+		if d.tracer != nil {
+			d.tracer.Emit(obs.TrackWorkload, obs.KindSample, "sample", s,
+				obs.Int("second", s.Second), obs.Float("ops", s.Ops))
+		}
 		d.metrics.Gauge("workload.ops_per_sec").Set(s.Ops)
 		d.sampleOpsBase = d.TotalOps
 		d.nextSampleAt += time.Second

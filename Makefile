@@ -44,7 +44,7 @@ bench-smoke:
 # compares it against the committed baseline. Deterministic drift and missing
 # entries fail even in report-only mode; timing regressions are advisory here
 # (CI hardware is too noisy for a hard wall-time gate).
-BENCH_BASELINE ?= BENCH_0007.json
+BENCH_BASELINE ?= BENCH_0008.json
 bench-json:
 	mkdir -p bench-artifacts
 	$(GO) run ./cmd/javmm-bench -label ci -out bench-artifacts/bench.json

@@ -181,10 +181,10 @@ func (d *Domain) Peek(dst *mem.Bitmap) uint64 {
 	return dst.Count()
 }
 
-// DirtyNow reports whether page p is dirty in the current round. The
-// migration engine uses it mid-round to skip pages that would be resent
-// anyway.
-func (d *Domain) DirtyNow(p mem.PFN) bool { return d.dirty.Test(p) }
+// DirtyWord returns word i of the current round's dirty bitmap (bit j is
+// PFN 64i+j) without clearing it. The migration engine's word-at-a-time
+// scan uses it mid-round to skip pages that would be resent anyway.
+func (d *Domain) DirtyWord(i int) uint64 { return d.dirty.Word(i) }
 
 // DirtyCount returns the number of pages dirty in the current round.
 func (d *Domain) DirtyCount() uint64 { return d.dirty.Count() }

@@ -100,7 +100,7 @@ func TestPeekAndClearStartsNewRound(t *testing.T) {
 	}
 	// New round: re-dirtying sets bits again.
 	d.WritePage(1)
-	if !d.DirtyNow(1) || d.DirtyNow(2) {
+	if d.DirtyWord(0) != 1<<1 {
 		t.Fatal("new round tracking wrong")
 	}
 }
@@ -115,6 +115,24 @@ func TestPeekDoesNotClear(t *testing.T) {
 	}
 	if d.DirtyCount() != 1 {
 		t.Fatal("Peek cleared the bitmap")
+	}
+}
+
+// DirtyWord peeks the current round a word at a time, without clearing.
+func TestDirtyWordPeeksCurrentRound(t *testing.T) {
+	d := newTestDomain(130)
+	d.EnableLogDirty()
+	for _, p := range []mem.PFN{0, 63, 64, 129} {
+		d.WritePage(p)
+	}
+	want := []uint64{1 | 1<<63, 1, 1 << 1}
+	for wi, w := range want {
+		if got := d.DirtyWord(wi); got != w {
+			t.Fatalf("DirtyWord(%d) = %#x, want %#x", wi, got, w)
+		}
+	}
+	if d.DirtyCount() != 4 {
+		t.Fatal("DirtyWord cleared the round")
 	}
 }
 

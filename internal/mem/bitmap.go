@@ -52,6 +52,27 @@ func (b *Bitmap) SetEach(ps []PFN) (added uint64) {
 	return added
 }
 
+// ClearEach clears the bit of every PFN in ps: the same result as Clear per
+// PFN, in one branch-free loop.
+func (b *Bitmap) ClearEach(ps []PFN) {
+	for _, p := range ps {
+		b.check(p)
+		b.words[p>>6] &^= 1 << (p & 63)
+	}
+}
+
+// NumWords returns the number of 64-bit words backing the bitmap. Word i
+// holds the bits of PFNs 64i to 64i+63.
+func (b *Bitmap) NumWords() int { return len(b.words) }
+
+// Word returns word i of the bitmap: bit j is PFN 64i+j. Bits beyond Len
+// are always clear.
+func (b *Bitmap) Word(i int) uint64 { return b.words[i] }
+
+// OrWord sets the bits of m in word i (b.Word(i) |= m). m must carry no
+// bit beyond Len.
+func (b *Bitmap) OrWord(i int, m uint64) { b.words[i] |= m }
+
 func (b *Bitmap) check(p PFN) {
 	if uint64(p) >= b.n {
 		panic("mem: bitmap index out of range")

@@ -253,3 +253,49 @@ func TestBitmapSetEachMatchesTestThenSet(t *testing.T) {
 		}
 	}
 }
+
+// The word accessors address the same bits as the per-PFN methods: Word and
+// OrWord read and set 64 PFNs at once, and ClearEach equals Clear per PFN.
+func TestBitmapWordOpsMatchPerPFN(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 300
+	a, b := NewBitmap(n), NewBitmap(n)
+	if a.NumWords() != (n+63)/64 {
+		t.Fatalf("NumWords = %d", a.NumWords())
+	}
+	for i := 0; i < 200; i++ {
+		wi := rng.Intn(a.NumWords())
+		m := rng.Uint64()
+		if wi == a.NumWords()-1 {
+			m &= 1<<(n%64) - 1
+		}
+		a.OrWord(wi, m)
+		for j := 0; j < 64; j++ {
+			if m>>j&1 != 0 {
+				b.Set(PFN(wi*64 + j))
+			}
+		}
+		ps := make([]PFN, rng.Intn(20))
+		for k := range ps {
+			ps[k] = PFN(rng.Intn(n))
+		}
+		a.ClearEach(ps)
+		for _, p := range ps {
+			b.Clear(p)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("word ops left different bits from per-PFN ops")
+		}
+		for w := 0; w < a.NumWords(); w++ {
+			var want uint64
+			for j := 0; j < 64 && w*64+j < n; j++ {
+				if b.Test(PFN(w*64 + j)) {
+					want |= 1 << j
+				}
+			}
+			if a.Word(w) != want {
+				t.Fatalf("Word(%d) = %#x, want %#x", w, a.Word(w), want)
+			}
+		}
+	}
+}

@@ -32,6 +32,12 @@ type PageStore interface {
 	AppendExport(dst []byte, p PFN) []byte
 	// Import overwrites page p with data produced by AppendExport.
 	Import(p PFN, data []byte) error
+	// ImportPages imports a run of pages whose exports are packed back to
+	// back at a fixed stride: page ps[i] takes data[i*s:(i+1)*s], where
+	// s = len(data)/len(ps). It stops at the first page Import would
+	// refuse and returns how many pages it imported; the refused page and
+	// those after it are untouched.
+	ImportPages(ps []PFN, data []byte) (int, error)
 	// WireSize returns the number of bytes a page transfer occupies on the
 	// network. For both stores this is PageSize: the version encoding is a
 	// modelling shortcut, not a claim of compression.
@@ -82,6 +88,22 @@ func (s *VersionStore) Import(p PFN, data []byte) error {
 	}
 	s.versions[p] = binary.BigEndian.Uint64(data)
 	return nil
+}
+
+// ImportPages implements PageStore. The versions are decoded in one tight
+// loop once the run's stride is known to be 8.
+func (s *VersionStore) ImportPages(ps []PFN, data []byte) (int, error) {
+	if len(ps) == 0 {
+		return 0, nil
+	}
+	if stride := len(data) / len(ps); stride != 8 {
+		return 0, s.Import(ps[0], data[:stride])
+	}
+	v := s.versions
+	for i, p := range ps {
+		v[p] = binary.BigEndian.Uint64(data[8*i:])
+	}
+	return len(ps), nil
 }
 
 // WireSize implements PageStore.
@@ -161,6 +183,20 @@ func (s *ByteStore) Import(p PFN, data []byte) error {
 	s.versions[p] = binary.BigEndian.Uint64(data[:8])
 	copy(s.Page(p), data[8:])
 	return nil
+}
+
+// ImportPages implements PageStore.
+func (s *ByteStore) ImportPages(ps []PFN, data []byte) (int, error) {
+	if len(ps) == 0 {
+		return 0, nil
+	}
+	stride := len(data) / len(ps)
+	for i, p := range ps {
+		if err := s.Import(p, data[i*stride:(i+1)*stride]); err != nil {
+			return i, err
+		}
+	}
+	return len(ps), nil
 }
 
 // WireSize implements PageStore.

@@ -163,6 +163,52 @@ func TestVersionStoreAppendExportAllocs(t *testing.T) {
 	}
 }
 
+// ImportPages equals Import per page for a run packed at the store's export
+// size, and a run at the wrong stride is refused at its first page with
+// nothing imported.
+func TestImportPagesMatchesImport(t *testing.T) {
+	run := []PFN{4, 0, 2, 5}
+	for _, mk := range []func() PageStore{
+		func() PageStore { return NewVersionStore(6) },
+		func() PageStore { return NewByteStore(6) },
+	} {
+		src := mk()
+		for p := PFN(0); p < 6; p++ {
+			for w := PFN(0); w <= p; w++ {
+				src.Write(p)
+			}
+		}
+		var packed []byte
+		for _, p := range run {
+			packed = src.AppendExport(packed, p)
+		}
+		stride := len(packed) / len(run)
+		batch, single := mk(), mk()
+		if n, err := batch.ImportPages(run, packed); n != len(run) || err != nil {
+			t.Fatalf("%T ImportPages = %d, %v", batch, n, err)
+		}
+		for i, p := range run {
+			if err := single.Import(p, packed[i*stride:(i+1)*stride]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := PFN(0); p < 6; p++ {
+			if !bytes.Equal(batch.AppendExport(nil, p), single.AppendExport(nil, p)) {
+				t.Fatalf("%T page %d differs from per-page import", batch, p)
+			}
+		}
+		fresh := mk()
+		if n, err := fresh.ImportPages(run, packed[:len(packed)-len(run)]); n != 0 || err == nil {
+			t.Fatalf("%T accepted a short stride: %d, %v", fresh, n, err)
+		}
+		for p := PFN(0); p < 6; p++ {
+			if fresh.Version(p) != 0 {
+				t.Fatalf("%T refused run still imported page %d", fresh, p)
+			}
+		}
+	}
+}
+
 func TestPageStoreInterfaceCompliance(t *testing.T) {
 	var _ PageStore = NewVersionStore(1)
 	var _ PageStore = NewByteStore(1)

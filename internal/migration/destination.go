@@ -39,6 +39,9 @@ type Destination struct {
 	digests    []uint64
 	rolling    uint64
 	generation uint64
+
+	// one carries the PFN of a one-page run without allocating.
+	one [1]mem.PFN
 }
 
 // SetMetrics attaches a metrics registry to the destination's receive path
@@ -120,14 +123,42 @@ func NewDestinationWithStore(store mem.PageStore) *Destination {
 // replication package's checkpoint stream uses the same destination
 // machinery (and Tee mirroring) as migration.
 func (d *Destination) ReceiveCheckpointPage(p mem.PFN, payload []byte) error {
-	return d.ReceivePage(p, payload)
+	d.one[0] = p
+	_, err := d.ReceivePages(d.one[:], payload)
+	return err
 }
 
-// ReceivePage implements PageSink: import the page, account it, and mirror
+// ReceivePages implements PageSink: import the run, account it, and mirror
 // it onto the tee when one is attached. Fault injection can fail a receive
 // transiently (dest.receive — the engine retries) or crash the destination
 // for the rest of the run (dest.crash — permanent ErrDestinationLost).
-func (d *Destination) ReceivePage(p mem.PFN, payload []byte) error {
+// While an injector is armed the sites are checked page by page, before
+// each page is received, so a run fails at exactly the page a sequence of
+// one-page runs would.
+func (d *Destination) ReceivePages(pfns []mem.PFN, payloads []byte) (int, error) {
+	if len(pfns) == 0 {
+		return 0, nil
+	}
+	stride := len(payloads) / len(pfns)
+	if !d.faults.Armed() {
+		if d.crashed {
+			return 0, ErrDestinationLost
+		}
+		return d.receive(pfns, payloads, stride)
+	}
+	for i, p := range pfns {
+		if err := d.checkFaults(p); err != nil {
+			return i, err
+		}
+		if _, err := d.receive(pfns[i:i+1], payloads[i*stride:(i+1)*stride], stride); err != nil {
+			return i, err
+		}
+	}
+	return len(pfns), nil
+}
+
+// checkFaults applies the destination's fault sites to one page receive.
+func (d *Destination) checkFaults(p mem.PFN) error {
 	if d.crashed {
 		return ErrDestinationLost
 	}
@@ -148,34 +179,51 @@ func (d *Destination) ReceivePage(p mem.PFN, payload []byte) error {
 	if d.faults.Fire(faults.SiteDestReceive) {
 		return fmt.Errorf("migration: destination refused page %d (injected)", p)
 	}
-	if err := d.Store.Import(p, payload); err != nil {
-		d.ImportFailures++
-		d.metrics.Counter("dest.import_failures").Inc()
-		return fmt.Errorf("migration: import page %d: %w", p, err)
-	}
-	d.PagesReceived++
-	d.BytesReceived += uint64(len(payload))
-	if uint64(p) < d.Store.NumPages() {
-		d.ensureIntegrity()
-		dg := mem.PageDigest(payload)
-		d.digests[p] = dg
-		d.received.Set(p)
-		d.rolling = mem.MixDigest(d.rolling, p, dg)
-	}
-	d.metrics.Counter("dest.pages_received").Inc()
-	d.metrics.Counter("dest.bytes_received").Add(int64(len(payload)))
-	if d.tee != nil {
-		if err := d.tee.WritePage(p, payload); err != nil {
-			d.teeErrors++
-			d.metrics.Counter("dest.tee_errors").Inc()
-		}
-	}
 	return nil
 }
 
-// PageDigestAt implements DigestSink: the digest of the payload last
-// received for p, or ok=false when p was never received into the current
-// image.
+// receive imports a run through the store and accounts the pages that
+// landed: counters once per call, then one loop that digests each payload,
+// stores the digest and the received bit, and folds the rolling digest in
+// run order, then the tee frames.
+func (d *Destination) receive(pfns []mem.PFN, payloads []byte, stride int) (int, error) {
+	landed, err := d.Store.ImportPages(pfns, payloads)
+	if err != nil {
+		d.ImportFailures++
+		d.metrics.Counter("dest.import_failures").Inc()
+		err = fmt.Errorf("migration: import page %d: %w", pfns[landed], err)
+	}
+	if landed == 0 {
+		return 0, err
+	}
+	pfns = pfns[:landed]
+	d.PagesReceived += uint64(landed)
+	d.BytesReceived += uint64(landed * stride)
+	d.ensureIntegrity()
+	n := d.Store.NumPages()
+	for i, p := range pfns {
+		if uint64(p) < n {
+			dg := mem.PageDigest(payloads[i*stride : (i+1)*stride])
+			d.digests[p] = dg
+			d.received.Set(p)
+			d.rolling = mem.MixDigest(d.rolling, p, dg)
+		}
+	}
+	d.metrics.Counter("dest.pages_received").Add(int64(landed))
+	d.metrics.Counter("dest.bytes_received").Add(int64(landed * stride))
+	if d.tee != nil {
+		for i, p := range pfns {
+			if werr := d.tee.WritePage(p, payloads[i*stride:(i+1)*stride]); werr != nil {
+				d.teeErrors++
+				d.metrics.Counter("dest.tee_errors").Inc()
+			}
+		}
+	}
+	return landed, err
+}
+
+// PageDigestAt returns the digest of the payload last received for p, or
+// ok=false when p was never received into the current image.
 func (d *Destination) PageDigestAt(p mem.PFN) (uint64, bool) {
 	if d.received == nil || uint64(p) >= d.received.Len() || !d.received.Test(p) {
 		return 0, false
@@ -200,9 +248,9 @@ func (d *Destination) DigestSnapshot() []uint64 {
 // sequence so far.
 func (d *Destination) RollingDigest() uint64 { return d.rolling }
 
-// Generation implements DigestSink: the image generation, bumped on every
-// Discard. A ResumeToken minted against generation g is worthless against
-// any other generation.
+// Generation returns the image generation, bumped on every Discard. A
+// ResumeToken minted against generation g is worthless against any other
+// generation.
 func (d *Destination) Generation() uint64 { return d.generation }
 
 // VerifyMigration checks the migration correctness invariant (DESIGN.md §6):

@@ -35,7 +35,9 @@ var errPageCorrupt = errors.New("migration: page digest mismatch at destination"
 
 // integrityState is the source-side half of the integrity plane for one run.
 type integrityState struct {
-	dsink DigestSink
+	// dest answers what the destination holds: the digests it recomputed
+	// over the payloads it received.
+	dest *Destination
 	// expect holds, per PFN, the digest of the payload the source last
 	// handed to the sink (or, on a resumed run, the token digest of a
 	// trusted page).
@@ -49,18 +51,11 @@ type integrityState struct {
 	stats         IntegrityStats
 }
 
-// beginIntegrity resets the per-run integrity state. It requires the run's
-// sink to be bound already; a sink without digests disables the plane (the
-// engine cannot verify what it cannot ask about).
+// beginIntegrity resets the per-run integrity state.
 func (s *Source) beginIntegrity() {
-	s.integ = nil
-	ds, ok := s.sink.(DigestSink)
-	if !ok {
-		return
-	}
 	n := s.Dom.NumPages()
 	s.integ = &integrityState{
-		dsink:         ds,
+		dest:          s.Dest,
 		expect:        make([]uint64, n),
 		sent:          mem.NewBitmap(n),
 		pendingRepair: mem.NewBitmap(n),
@@ -101,6 +96,19 @@ func (s *Source) recordExpected(p mem.PFN, payload []byte) {
 	s.integ.sent.Set(p)
 }
 
+// recordExpectedRun is recordExpected for a run of pages whose payloads are
+// packed at stride bytes each.
+func (s *Source) recordExpectedRun(pfns []mem.PFN, payloads []byte, stride int) {
+	ig := s.integ
+	if ig == nil {
+		return
+	}
+	for i, p := range pfns {
+		ig.expect[p] = mem.PageDigest(payloads[i*stride : (i+1)*stride])
+	}
+	ig.sent.SetEach(pfns)
+}
+
 // verifyFetch is the lazy engine's inline check: immediately after a
 // demand fetch or prefetch lands, compare the destination's recomputed
 // digest against the source's expectation. A mismatch is transient —
@@ -114,7 +122,7 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 	s.Cfg.Perf.Enter(perf.StageDigestAudit)
 	defer s.Cfg.Perf.Exit()
 	ig.stats.PagesAudited++
-	got, ok := ig.dsink.PageDigestAt(p)
+	got, ok := ig.dest.PageDigestAt(p)
 	if !ok || got != ig.expect[p] {
 		// One mismatch episode per page: a retry corrupted again extends the
 		// episode rather than opening a new one, so a completed run always
@@ -148,7 +156,7 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 func (s *Source) lazyDeliver(p mem.PFN) error {
 	s.exportBuf = s.Dom.Store().AppendExport(s.exportBuf[:0], p)
 	payload := s.exportBuf
-	if err := s.sink.ReceivePage(p, s.wirePayload(p, payload)); err != nil {
+	if err := s.receiveOne(p, payload); err != nil {
 		return err
 	}
 	s.recordExpected(p, payload)
@@ -172,7 +180,7 @@ func (s *Source) auditResident(resident *mem.Bitmap) {
 	var bad []mem.PFN
 	resident.Range(func(p mem.PFN) bool {
 		ig.stats.PagesAudited++
-		got, ok := ig.dsink.PageDigestAt(p)
+		got, ok := ig.dest.PageDigestAt(p)
 		if !ok || got != ig.expect[p] {
 			bad = append(bad, p)
 		}
@@ -219,7 +227,7 @@ func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 		stats.AuditRounds++
 		var bad []mem.PFN
 		ig.sent.Range(func(p mem.PFN) bool {
-			got, ok := ig.dsink.PageDigestAt(p)
+			got, ok := ig.dest.PageDigestAt(p)
 			if !ok || got != ig.expect[p] {
 				bad = append(bad, p)
 			}
@@ -287,7 +295,7 @@ func (s *Source) sealIntegrity() {
 	if s.integ == nil || s.Cfg.Integrity.Disable {
 		return
 	}
-	s.integ.stats.RollingDigest = s.integ.dsink.RollingDigest()
+	s.integ.stats.RollingDigest = s.integ.dest.RollingDigest()
 	ic := s.integ.stats
 	s.report.Integrity = &ic
 }

@@ -19,14 +19,14 @@
 // transfer bit is cleared, coordinates the pre-suspension handshake with the
 // in-guest LKM, and charges the final bitmap update to downtime.
 //
-// The engine itself is a thin orchestrator over the pluggable stages of
-// stages.go (SkipPolicy, WireCodec, StopPolicy, SuspensionProtocol,
+// The engine itself is a thin orchestrator over the stages of stages.go (SkipPolicy, WireCodec, StopPolicy, SuspensionProtocol,
 // PageSink); every Mode is a composition of stage implementations.
 package migration
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -42,7 +42,7 @@ import (
 // Source drives a migration from the source host.
 type Source struct {
 	Dom   *hypervisor.Domain
-	LKM   *guestos.LKM // required in ModeAppAssisted (unless Protocol is set)
+	LKM   *guestos.LKM // required in ModeAppAssisted
 	Link  *netsim.Link
 	Clock *simclock.Clock
 	Exec  GuestExecutor // may be nil for an idle guest
@@ -55,15 +55,6 @@ type Source struct {
 	// HintFor returns a page's compression hint (guestos.Hint*); required
 	// when Cfg.HintedCompression is set (typically the LKM's HintFor).
 	HintFor func(p mem.PFN) uint8
-
-	// Stage overrides. Each nil field selects the default implementation
-	// derived from Cfg (see stages.go): custom engines and future assisted
-	// applications plug in here without touching the orchestrator.
-	Skip     SkipPolicy
-	Codec    WireCodec
-	Stop     StopPolicy
-	Protocol SuspensionProtocol // ModeAppAssisted only; default LKM.Protocol()
-	Sink     PageSink           // default: Dest
 
 	// mutable state during one migration
 	report    *Report
@@ -99,23 +90,57 @@ type Source struct {
 	resumeRefetch *mem.Bitmap
 
 	// Page-export buffers, reused across chunks, iterations and runs so the
-	// steady-state send path allocates nothing. chunk lists the pages of the
-	// chunk being built and arena packs their payloads back to back (chunk
-	// entries hold offsets, because the arena may move when it grows);
-	// exportBuf holds the single payload of a lazy-engine delivery or an
-	// integrity repair.
-	chunk     []chunkPage
-	arena     []byte
+	// steady-state send path allocates nothing. chunk is the pre-copy chunk
+	// being built; exportBuf holds the single payload of a lazy-engine
+	// delivery or an integrity repair, and one its PFN, so a one-page run
+	// reaches the sink without allocating.
+	chunk     chunk
 	exportBuf []byte
+	one       [1]mem.PFN
 }
 
-// chunkPage is one page queued for the current chunk: its payload is
-// arena[off:end].
-type chunkPage struct {
-	pfn      mem.PFN
-	off, end int
-	wire     uint64
+// chunk is the run of pages the pre-copy engine sends between two guest
+// slices: up to Cfg.ChunkPages pages in ascending PFN order, their wire
+// sizes, and their payloads packed back to back at the store's fixed export
+// size (stride bytes per page).
+type chunk struct {
+	pfns     []mem.PFN
+	wires    []uint64
+	payloads []byte
+	stride   int
+	wire     uint64 // sum of wires
 }
+
+// reserve sizes the chunk buffers for up to pages pages of dom's store (a
+// chunk never holds more pages than the VM has). It allocates only when the
+// buffers from an earlier run are too small.
+func (c *chunk) reserve(dom *hypervisor.Domain, pages uint64) {
+	n := int(min(pages, dom.NumPages()))
+	if n == 0 {
+		return
+	}
+	c.payloads = dom.Store().AppendExport(c.payloads[:0], 0)
+	c.stride = len(c.payloads)
+	if cap(c.pfns) < n {
+		c.pfns = make([]mem.PFN, 0, n)
+		c.wires = make([]uint64, 0, n)
+	}
+	if cap(c.payloads) < n*c.stride {
+		c.payloads = make([]byte, 0, n*c.stride)
+	}
+	c.reset()
+}
+
+// reset empties the chunk, keeping its buffers.
+func (c *chunk) reset() {
+	c.pfns = c.pfns[:0]
+	c.wires = c.wires[:0]
+	c.payloads = c.payloads[:0]
+	c.wire = 0
+}
+
+// payload returns page i's payload.
+func (c *chunk) payload(i int) []byte { return c.payloads[i*c.stride : (i+1)*c.stride] }
 
 // Errors returned by the migration engines.
 var (
@@ -153,7 +178,7 @@ func (s *Source) validate() error {
 	switch {
 	case s.Dom == nil:
 		return ErrNoSource
-	case s.Dest == nil && s.Sink == nil:
+	case s.Dest == nil:
 		return ErrNoDest
 	case s.Link == nil:
 		return ErrNoLink
@@ -179,7 +204,7 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.Cfg.Mode == ModeAppAssisted && s.LKM == nil && s.Protocol == nil {
+	if s.Cfg.Mode == ModeAppAssisted && s.LKM == nil {
 		return nil, ErrNoLKM
 	}
 	if err := s.checkDestSize(); err != nil {
@@ -221,13 +246,9 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	s.proto = nil
 	var transfer *mem.Bitmap
 	if s.Cfg.Mode == ModeAppAssisted {
-		s.proto = s.Protocol
-		if s.proto == nil {
-			s.proto = s.LKM.Protocol()
-		}
 		// Wrap before Begin so the whole handshake, first call included, is
 		// attributed to the suspension-protocol stage.
-		s.proto = profileProto(s.proto, s.Cfg.Perf)
+		s.proto = profileProto(s.LKM.Protocol(), s.Cfg.Perf)
 		transfer = s.proto.Begin()
 	}
 	s.bindStages(transfer)
@@ -528,9 +549,17 @@ func (s *Source) sendBulk(n uint64) (d time.Duration, elapsed bool, err error) {
 	return d, true, err
 }
 
-// runIteration scans the to-send set once, pushing transferable pages to the
-// sink in chunks and interleaving guest execution. The skip policy and wire
-// codec bound for this run decide what moves and at what cost.
+// runIteration scans the to-send set once, a bitmap word at a time,
+// pushing transferable pages to the sink in chunks and interleaving guest
+// execution. The skip policy and wire codec bound for this run decide what
+// moves and at what cost.
+//
+// Guest state changes only while a chunk is flushed (the guest runs during
+// the transfer and any retry backoff), so one skip and dirty classification
+// per word equals one per page. When a chunk fills in the middle of a word,
+// the scan takes the word's pages up to the one that filled it, flushes, and
+// classifies the rest of the word afresh: those pages see the post-flush
+// dirty, transfer and free state, as a page-at-a-time scan would.
 func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) IterationStats {
 	st := IterationStats{
 		Index:           index,
@@ -548,127 +577,75 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 
 	store := s.Dom.Store()
 	rawWire := store.WireSize()
+	c := &s.chunk
+	c.reset()
+	// A chunk never holds more pages than the VM has; the clamp keeps an
+	// oversized ChunkPages from overflowing int.
+	room := int(min(s.Cfg.ChunkPages, s.Dom.NumPages()+1))
 
-	s.chunk = s.chunk[:0]
-	var chunkWire uint64
+	for wi := 0; wi < toSend.NumWords() && !s.aborted; wi++ {
+		base := mem.PFN(wi) << 6
+		for rest := toSend.Word(wi); rest != 0 && !s.aborted; {
+			bm, free := s.skip.Skip(wi, rest)
+			var dirty uint64
+			if !last {
+				// Already re-dirtied this round: sending now would be
+				// wasted — the next round resends it (Figure 9, "already
+				// dirtied").
+				dirty = rest &^ (bm | free) & s.Dom.DirtyWord(wi)
+			}
+			send := rest &^ (bm | free | dirty)
+			take := rest
+			full := bits.OnesCount64(send) >= room-len(c.pfns)
+			if full {
+				// Take the word's pages up to the one that fills the chunk.
+				x := send
+				for i := len(c.pfns) + 1; i < room; i++ {
+					x &= x - 1
+				}
+				take &= ^uint64(0) >> (63 - bits.TrailingZeros64(x))
+			}
+			rest &^= take
+			bm, free, dirty, send = bm&take, free&take, dirty&take, send&take
 
-	sendClass := ledger.ClassLive
-	if last {
-		sendClass = ledger.ClassFinal
-	}
-
-	flush := func() {
-		if len(s.chunk) == 0 {
-			return
-		}
-		fail := func(cs *obs.Span, err error) {
-			// Permanent failure: the undelivered remainder was never
-			// accounted (report, ledger and metrics all count at delivery),
-			// so totals keep reconciling on the aborted run.
-			s.fail(err)
-			cs.End(obs.Str("error", err.Error()))
-			s.chunk = s.chunk[:0]
-			s.arena = s.arena[:0]
-			chunkWire = 0
-		}
-		var cs *obs.Span
-		if t := s.Cfg.Tracer; t != nil {
-			// Guarded: building the attributes allocates even for a nil
-			// tracer, and this runs once per chunk.
-			cs = t.Begin(obs.TrackMigration, obs.KindChunk, "chunk",
-				obs.Int("pages", len(s.chunk)), obs.Uint64("wire_bytes", chunkWire))
-		}
-		var d time.Duration
-		var elapsed bool
-		send := func() error {
-			var err error
-			d, elapsed, err = s.sendBulk(chunkWire)
-			return err
-		}
-		if err := send(); err != nil {
-			if err = s.retryAfter("chunk-send", err, s.advance, send); err != nil {
-				fail(cs, err)
-				return
-			}
-		}
-		for _, pp := range s.chunk {
-			if err := s.deliverPage(pp.pfn, s.arena[pp.off:pp.end]); err != nil {
-				fail(cs, err)
-				return
-			}
-			st.PagesSent++
-			st.BytesOnWire += pp.wire
-			s.sentBytes += pp.wire
-			s.report.TotalPagesSent++
-			s.report.CPUTime += s.Cfg.PageCopyCost
-			s.Cfg.Ledger.PageSent(pp.pfn, index, pp.wire, s.sendClassFor(pp.pfn, sendClass))
-			if s.residentTrack != nil {
-				s.residentTrack.Set(pp.pfn)
-			}
+			s.report.CPUTime += time.Duration(bits.OnesCount64(take)) * s.Cfg.PageExamineCost
+			st.PagesSkippedBitmap += uint64(bits.OnesCount64(bm))
+			st.PagesSkippedFree += uint64(bits.OnesCount64(free))
+			st.PagesSkippedDirty += uint64(bits.OnesCount64(dirty))
 			if s.skippedEver != nil {
-				s.skippedEver.Clear(pp.pfn)
+				s.skippedEver.OrWord(wi, bm|free)
 			}
-			if s.degradePending != nil {
-				s.degradePending.Clear(pp.pfn)
+			if l := s.Cfg.Ledger; l != nil {
+				for x := bm | free | dirty; x != 0; x &= x - 1 {
+					bit := bits.TrailingZeros64(x)
+					reason := ledger.SkipDirty
+					if bm>>bit&1 != 0 {
+						reason = ledger.SkipBitmap
+					} else if free>>bit&1 != 0 {
+						reason = ledger.SkipFree
+					}
+					l.PageSkipped(base+mem.PFN(bit), index, rawWire, reason)
+				}
 			}
-		}
-		s.chunk = s.chunk[:0]
-		s.arena = s.arena[:0]
-		chunkWire = 0
-		if !elapsed {
-			s.advance(d)
-		}
-		cs.End()
-		// Cancellation is honoured at chunk boundaries during live
-		// iterations; stop-and-copy always runs to completion.
-		if !last && s.cancelRequested() {
-			s.aborted = true
+			// Provenance and iteration counters account sends at delivery
+			// time (inside flush): a chunk lost to a permanent failure is
+			// then invisible to report, ledger and metrics alike, so the
+			// three keep reconciling even on an aborted run.
+			for ; send != 0; send &= send - 1 {
+				p := base + mem.PFN(bits.TrailingZeros64(send))
+				w, encodeCPU := s.codec.Encode(p, rawWire)
+				s.report.CPUTime += encodeCPU
+				c.pfns = append(c.pfns, p)
+				c.wires = append(c.wires, w)
+				c.wire += w
+				c.payloads = store.AppendExport(c.payloads, p)
+			}
+			if full {
+				s.flush(&st, index, last)
+			}
 		}
 	}
-	toSend.Range(func(p mem.PFN) bool {
-		if s.aborted {
-			return false
-		}
-		s.report.CPUTime += s.Cfg.PageExamineCost
-		switch r := s.skip.Skip(p); r {
-		case SkipBitmap:
-			st.PagesSkippedBitmap++
-			s.Cfg.Ledger.PageSkipped(p, index, rawWire, r.ledgerReason())
-			if s.skippedEver != nil {
-				s.skippedEver.Set(p)
-			}
-			return true
-		case SkipFree:
-			st.PagesSkippedFree++
-			s.Cfg.Ledger.PageSkipped(p, index, rawWire, r.ledgerReason())
-			if s.skippedEver != nil {
-				s.skippedEver.Set(p)
-			}
-			return true
-		}
-		if !last && s.Dom.DirtyNow(p) {
-			// Already re-dirtied this round: sending now would be wasted —
-			// the next round resends it (Figure 9, "already dirtied").
-			st.PagesSkippedDirty++
-			s.Cfg.Ledger.PageSkipped(p, index, rawWire, ledger.SkipDirty)
-			return true
-		}
-		w, encodeCPU := s.codec.Encode(p, rawWire)
-		chunkWire += w
-		s.report.CPUTime += encodeCPU
-		// Provenance and iteration counters both account at delivery time
-		// (inside flush): a chunk lost to a permanent failure is then
-		// invisible to report, ledger and metrics alike, so the three keep
-		// reconciling even on an aborted run.
-		off := len(s.arena)
-		s.arena = store.AppendExport(s.arena, p)
-		s.chunk = append(s.chunk, chunkPage{pfn: p, off: off, end: len(s.arena), wire: w})
-		if uint64(len(s.chunk)) >= s.Cfg.ChunkPages {
-			flush()
-		}
-		return true
-	})
-	flush()
+	s.flush(&st, index, last)
 
 	st.Duration = s.Clock.Now() - st.Start
 	st.PagesDirtiedDuring = s.Dom.DirtyEvents() - dirtyBefore
@@ -676,4 +653,126 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 		span.End(obs.Uint64("pages_sent", st.PagesSent), obs.Uint64("bytes_on_wire", st.BytesOnWire))
 	}
 	return st
+}
+
+// flush sends the chunk over the link, hands its pages to the sink, and
+// accounts the pages that landed. The guest runs for the transfer time
+// afterwards. A permanent failure aborts the run with the undelivered
+// remainder unaccounted (report, ledger and metrics all count at delivery),
+// so totals keep reconciling on the aborted run.
+func (s *Source) flush(st *IterationStats, index int, last bool) {
+	c := &s.chunk
+	if len(c.pfns) == 0 {
+		return
+	}
+	var cs *obs.Span
+	if t := s.Cfg.Tracer; t != nil {
+		// Guarded: building the attributes allocates even for a nil
+		// tracer, and this runs once per chunk.
+		cs = t.Begin(obs.TrackMigration, obs.KindChunk, "chunk",
+			obs.Int("pages", len(c.pfns)), obs.Uint64("wire_bytes", c.wire))
+	}
+	var d time.Duration
+	var elapsed bool
+	send := func() error {
+		var err error
+		d, elapsed, err = s.sendBulk(c.wire)
+		return err
+	}
+	err := send()
+	if err != nil {
+		err = s.retryAfter("chunk-send", err, s.advance, send)
+	}
+	landed := 0
+	if err == nil {
+		landed, err = s.deliverChunk()
+	}
+	s.accountSent(st, index, last, landed)
+	c.reset()
+	if err != nil {
+		s.fail(err)
+		cs.End(obs.Str("error", err.Error()))
+		return
+	}
+	if !elapsed {
+		s.advance(d)
+	}
+	cs.End()
+	// Cancellation is honoured at chunk boundaries during live
+	// iterations; stop-and-copy always runs to completion.
+	if !last && s.cancelRequested() {
+		s.aborted = true
+	}
+}
+
+// deliverChunk hands the chunk's pages to the sink and returns how many
+// landed before a permanent failure. The chunk goes over in one sink call;
+// a page the sink refuses is retried alone with backoff, as deliverPage
+// does, and the call resumes after it. While fault injection is armed,
+// every page instead goes through deliverPage on its own, so the
+// corrupt-page-stream and destination fault sites fire per page in order.
+func (s *Source) deliverChunk() (int, error) {
+	c := &s.chunk
+	n := len(c.pfns)
+	if s.Cfg.Faults.Armed() {
+		for i, p := range c.pfns {
+			if err := s.deliverPage(p, c.payload(i)); err != nil {
+				return i, err
+			}
+		}
+		return n, nil
+	}
+	landed := 0
+	for {
+		k, err := s.sink.ReceivePages(c.pfns[landed:], c.payloads[landed*c.stride:])
+		s.recordExpectedRun(c.pfns[landed:landed+k], c.payloads[landed*c.stride:], c.stride)
+		landed += k
+		if err == nil {
+			return landed, nil
+		}
+		if err = s.retryPage(err, c.pfns[landed], c.payload(landed)); err != nil {
+			return landed, err
+		}
+		if landed++; landed == n {
+			return landed, nil
+		}
+	}
+}
+
+// accountSent books the chunk's first landed pages as sent: report,
+// iteration stats and, page by page, only the ledger, the resume-refetch
+// registry and the bitmaps that are tracking sends in this run.
+func (s *Source) accountSent(st *IterationStats, index int, last bool, landed int) {
+	c := &s.chunk
+	pfns := c.pfns[:landed]
+	wire := c.wire
+	if landed < len(c.pfns) {
+		wire = 0
+		for _, w := range c.wires[:landed] {
+			wire += w
+		}
+	}
+	st.PagesSent += uint64(landed)
+	st.BytesOnWire += wire
+	s.sentBytes += wire
+	s.report.TotalPagesSent += uint64(landed)
+	s.report.CPUTime += time.Duration(landed) * s.Cfg.PageCopyCost
+	if s.Cfg.Ledger != nil || s.resumeRefetch != nil {
+		class := ledger.ClassLive
+		if last {
+			class = ledger.ClassFinal
+		}
+		for i, p := range pfns {
+			s.Cfg.Ledger.PageSent(p, index, c.wires[i], s.sendClassFor(p, class))
+		}
+	}
+	if s.residentTrack != nil {
+		s.residentTrack.SetEach(pfns)
+	}
+	if s.skippedEver != nil {
+		s.skippedEver.ClearEach(pfns)
+	}
+	if s.degradePending != nil {
+		s.degradePending.ClearEach(pfns)
+	}
 }

@@ -37,8 +37,7 @@ func TestPerfRecordsPreCopyStages(t *testing.T) {
 			t.Errorf("stage %q not recorded; got %v", want, got)
 		}
 	}
-	// The profiled sink must keep the DigestSink extension visible, or the
-	// integrity plane silently disappears.
+	// The integrity plane runs under the profiled sink.
 	if rep.Integrity == nil {
 		t.Fatal("integrity audit did not run under the profiled sink")
 	}

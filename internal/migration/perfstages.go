@@ -20,11 +20,11 @@ type profiledSkip struct {
 	p    *perf.Profiler
 }
 
-func (w profiledSkip) Skip(pfn mem.PFN) SkipReason {
+func (w profiledSkip) Skip(wi int, pending uint64) (uint64, uint64) {
 	w.p.Enter(perf.StageSkipPolicy)
-	r := w.next.Skip(pfn)
+	bm, free := w.next.Skip(wi, pending)
 	w.p.Exit()
-	return r
+	return bm, free
 }
 
 func (w profiledSkip) FinalTransfer(n uint64) *mem.Bitmap {
@@ -123,39 +123,17 @@ type profiledSink struct {
 	p    *perf.Profiler
 }
 
-func (w profiledSink) ReceivePage(pfn mem.PFN, payload []byte) error {
+func (w profiledSink) ReceivePages(pfns []mem.PFN, payloads []byte) (int, error) {
 	w.p.Enter(perf.StagePageSink)
-	err := w.next.ReceivePage(pfn, payload)
+	landed, err := w.next.ReceivePages(pfns, payloads)
 	w.p.Exit()
-	return err
+	return landed, err
 }
 
-// profiledDigestSink preserves the DigestSink extension through the profiled
-// wrapper: beginIntegrity type-asserts the bound sink, and a plain
-// profiledSink would silently disable the whole integrity plane. Receives
-// are profiled; the digest queries are audit-side reads and pass through
-// unprofiled (they are accounted to the digest-audit stage by their
-// callers).
-type profiledDigestSink struct {
-	profiledSink
-	ds DigestSink
-}
-
-func (w profiledDigestSink) PageDigestAt(pfn mem.PFN) (uint64, bool) { return w.ds.PageDigestAt(pfn) }
-func (w profiledDigestSink) ReceivedPages() *mem.Bitmap              { return w.ds.ReceivedPages() }
-func (w profiledDigestSink) DigestSnapshot() []uint64                { return w.ds.DigestSnapshot() }
-func (w profiledDigestSink) RollingDigest() uint64                   { return w.ds.RollingDigest() }
-func (w profiledDigestSink) Generation() uint64                      { return w.ds.Generation() }
-
-// profileSink wraps a page sink when a profiler is present, keeping the
-// DigestSink extension visible when the inner sink carries it.
+// profileSink wraps a page sink when a profiler is present.
 func profileSink(next PageSink, p *perf.Profiler) PageSink {
 	if p == nil {
 		return next
 	}
-	inner := profiledSink{next: next, p: p}
-	if ds, ok := next.(DigestSink); ok {
-		return profiledDigestSink{profiledSink: inner, ds: ds}
-	}
-	return inner
+	return profiledSink{next: next, p: p}
 }

@@ -141,11 +141,7 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 			s.Dom.PeekAndClear(toSend)
 		}
 	} else {
-		s.sink = s.Sink
-		if s.sink == nil {
-			s.sink = s.Dest
-		}
-		s.sink = profileSink(s.sink, s.Cfg.Perf)
+		s.bindSink()
 		s.beginIntegrity()
 		if resumed {
 			s.planResumeLazy(s.pendingResume, resident)

@@ -144,16 +144,29 @@ func (s *Source) withRetry(stage string, op func() error) error {
 // what the source expects — exactly the divergence the switchover audit
 // exists to catch. The expected digest is recorded on success.
 func (s *Source) deliverPage(p mem.PFN, payload []byte) error {
-	deliver := func() error {
-		return s.sink.ReceivePage(p, s.wirePayload(p, payload))
-	}
-	if err := deliver(); err != nil {
-		if err = s.retryAfter("page-receive", err, s.advance, deliver); err != nil {
+	return s.retryPage(s.receiveOne(p, payload), p, payload)
+}
+
+// retryPage completes the delivery of page p after a first attempt that
+// returned err0: a refused page is retried with backoff until it lands or
+// fails permanently, and a landed page has its expected digest recorded.
+func (s *Source) retryPage(err0 error, p mem.PFN, payload []byte) error {
+	if err0 != nil {
+		deliver := func() error { return s.receiveOne(p, payload) }
+		if err := s.retryAfter("page-receive", err0, s.advance, deliver); err != nil {
 			return err
 		}
 	}
 	s.recordExpected(p, payload)
 	return nil
+}
+
+// receiveOne makes one delivery attempt of page p through the
+// corrupt-page-stream fault site, as a one-page run.
+func (s *Source) receiveOne(p mem.PFN, payload []byte) error {
+	s.one[0] = p
+	_, err := s.sink.ReceivePages(s.one[:], s.wirePayload(p, payload))
+	return err
 }
 
 // abortRun finalizes an aborted migration (shared by the pre-copy and lazy

@@ -70,9 +70,9 @@ func (s *Source) mintResumeToken(reason string) *ResumeToken {
 		Reason:    reason,
 	}
 	if ig := s.integ; ig != nil {
-		tok.Generation = ig.dsink.Generation()
-		tok.Received = ig.dsink.ReceivedPages().Clone()
-		tok.Digests = ig.dsink.DigestSnapshot()
+		tok.Generation = ig.dest.Generation()
+		tok.Received = ig.dest.ReceivedPages().Clone()
+		tok.Digests = ig.dest.DigestSnapshot()
 	}
 	if s.Dest != nil {
 		tok.Dest = s.Dest.HostName()
@@ -107,8 +107,6 @@ func (s *Source) Resume(token *ResumeToken) (*Report, error) {
 func (s *Source) resumeTrust(token *ResumeToken) (trusted *mem.Bitmap, reason string) {
 	ig := s.integ
 	switch {
-	case ig == nil:
-		return nil, "sink carries no digests"
 	case token.Received == nil:
 		return nil, "token carries no digest table"
 	case s.Dest != nil && token.Dest != s.Dest.HostName():
@@ -116,7 +114,7 @@ func (s *Source) resumeTrust(token *ResumeToken) (trusted *mem.Bitmap, reason st
 		// host. After a relocation the new destination holds nothing of the
 		// old image, whatever the generation counters happen to say.
 		return nil, "token bound to a different destination"
-	case token.Generation != ig.dsink.Generation():
+	case token.Generation != ig.dest.Generation():
 		// The destination was discarded or rebuilt since the token was
 		// minted (a crashed destination is always discarded): whatever the
 		// table says describes a previous image.
@@ -136,7 +134,7 @@ func (s *Source) resumeTrust(token *ResumeToken) (trusted *mem.Bitmap, reason st
 		if dirty.Test(p) {
 			return true // written since the abort: destination copy is stale
 		}
-		got, ok := ig.dsink.PageDigestAt(p)
+		got, ok := ig.dest.PageDigestAt(p)
 		if !ok || got != token.Digests[p] {
 			return true // destination no longer holds what the token claims
 		}

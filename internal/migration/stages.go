@@ -1,16 +1,16 @@
 package migration
 
 import (
+	"math/bits"
 	"time"
 
 	"javmm/internal/guestos"
 	"javmm/internal/mem"
-	"javmm/internal/obs/ledger"
 )
 
-// The engine is a thin orchestrator over five pluggable stages. Each stage
-// captures one axis of the paper's design space, and every migration mode is
-// a composition of stage implementations rather than its own monolith:
+// The engine is a thin orchestrator over five stages. Each stage captures
+// one axis of the paper's design space, and every migration mode is a
+// composition of stage implementations rather than its own monolith:
 //
 //	SkipPolicy         which pages need not move (transfer bitmap, free list)
 //	WireCodec          what a page costs on the wire (delta, hints, compress)
@@ -18,40 +18,18 @@ import (
 //	SuspensionProtocol how the guest is told to prepare for suspension
 //	PageSink           where transferred pages land (Destination, Tee, ...)
 //
-// A Source field left nil selects the default implementation derived from
-// its Config (see bindStages); setting it plugs a custom stage into the
-// unchanged orchestrator — the paper's "the application can specify"
-// genericity, now first-class in the engine.
+// bindStages derives the stage set of a run from the Source's Config.
 
-// SkipReason classifies why a dirty page is not transferred this round.
-type SkipReason int
-
-const (
-	// SkipNone: the page must be sent.
-	SkipNone SkipReason = iota
-	// SkipBitmap: the page's transfer bit is cleared (application consent,
-	// paper §3.3.3) — counted as PagesSkippedBitmap.
-	SkipBitmap
-	// SkipFree: the page is on the guest kernel's free list (Koto-style
-	// OS assistance) — counted as PagesSkippedFree.
-	SkipFree
-)
-
-// ledgerReason maps a stage skip decision onto the provenance ledger's
-// taxonomy. Only policy skips appear here; the engine's own mid-round dirty
-// deferral is tagged ledger.SkipDirty directly.
-func (r SkipReason) ledgerReason() ledger.SkipReason {
-	if r == SkipFree {
-		return ledger.SkipFree
-	}
-	return ledger.SkipBitmap
-}
-
-// SkipPolicy decides, page by page, what the engine may leave behind. It
-// also produces the FinalTransfer snapshot recorded at VM pause: the set of
-// pages the destination must hold faithfully.
+// SkipPolicy decides, a bitmap word at a time, what the engine may leave
+// behind. It also produces the FinalTransfer snapshot recorded at VM pause:
+// the set of pages the destination must hold faithfully.
 type SkipPolicy interface {
-	Skip(p mem.PFN) SkipReason
+	// Skip classifies the pages of word wi (PFNs 64·wi to 64·wi+63) whose
+	// bits are set in pending. It returns the pages left behind by
+	// application consent (bitmap, counted as PagesSkippedBitmap) and,
+	// among the rest, those on the guest kernel's free list (free, counted
+	// as PagesSkippedFree). Both are subsets of pending and disjoint.
+	Skip(wi int, pending uint64) (bitmap, free uint64)
 	// FinalTransfer returns the transfer set to record at pause for a VM
 	// of n pages. Implementations backed by a live bitmap must snapshot
 	// (clone) it.
@@ -61,7 +39,7 @@ type SkipPolicy interface {
 // transferAll is the application-agnostic policy: every page moves.
 type transferAll struct{}
 
-func (transferAll) Skip(mem.PFN) SkipReason { return SkipNone }
+func (transferAll) Skip(int, uint64) (uint64, uint64) { return 0, 0 }
 
 func (transferAll) FinalTransfer(n uint64) *mem.Bitmap {
 	bm := mem.NewBitmap(n)
@@ -70,39 +48,38 @@ func (transferAll) FinalTransfer(n uint64) *mem.Bitmap {
 }
 
 // bitmapSkip consults a live transfer bitmap (the LKM's, or any
-// application's): a cleared bit means skip, even if dirty.
+// application's): a cleared bit means skip, even if dirty (paper §3.3.3).
 type bitmapSkip struct {
 	transfer *mem.Bitmap
 }
 
-func (b bitmapSkip) Skip(p mem.PFN) SkipReason {
-	if !b.transfer.Test(p) {
-		return SkipBitmap
-	}
-	return SkipNone
+func (b bitmapSkip) Skip(wi int, pending uint64) (uint64, uint64) {
+	return pending &^ b.transfer.Word(wi), 0
 }
 
 func (b bitmapSkip) FinalTransfer(uint64) *mem.Bitmap { return b.transfer.Clone() }
 
-// freeSkip layers free-list skipping over another policy. The inner policy
-// is consulted first, preserving the engine's historical counter order
-// (bitmap before free).
+// freeSkip layers free-list skipping (Koto-style OS assistance) over another
+// policy. The inner policy is consulted first, preserving the engine's
+// historical counter order (bitmap before free): the free list is asked
+// only about the pages the inner policy keeps.
 type freeSkip struct {
 	next SkipPolicy
 	free func(mem.PFN) bool
 }
 
-func (f freeSkip) Skip(p mem.PFN) SkipReason {
-	if r := f.next.Skip(p); r != SkipNone {
-		return r
-	}
-	if f.free(p) {
+func (f freeSkip) Skip(wi int, pending uint64) (uint64, uint64) {
+	bm, free := f.next.Skip(wi, pending)
+	base := mem.PFN(wi) << 6
+	for rest := pending &^ (bm | free); rest != 0; rest &= rest - 1 {
 		// Free-list pages carry no meaningful content; if the guest
 		// reallocates one it is zeroed (written) and caught by a later
 		// round.
-		return SkipFree
+		if bit := bits.TrailingZeros64(rest); f.free(base + mem.PFN(bit)) {
+			free |= 1 << bit
+		}
 	}
-	return SkipNone
+	return bm, free
 }
 
 func (f freeSkip) FinalTransfer(n uint64) *mem.Bitmap { return f.next.FinalTransfer(n) }
@@ -231,8 +208,7 @@ func (w warmStop) Stop(iter int, st IterationStats, sentBytes, memoryBytes uint6
 //	Resumed        VM resumed at the destination
 //	Aborted        migration cancelled; guest returns to normal operation
 //
-// guestos.(*LKM).Protocol() is the canonical implementation; custom
-// frameworks satisfy the interface structurally.
+// guestos.(*LKM).Protocol() is its implementation.
 type SuspensionProtocol interface {
 	Begin() *mem.Bitmap
 	EnterLastIter()
@@ -244,42 +220,21 @@ type SuspensionProtocol interface {
 
 var _ SuspensionProtocol = (*guestos.DaemonProtocol)(nil)
 
-// PageSink receives transferred pages. Destination is the default sink
-// (with optional Tee mirroring); replication and tests may substitute their
-// own. A non-nil error means the page did NOT land: the engine retries
-// transient errors with backoff and aborts on ErrDestinationLost.
+// PageSink receives transferred pages a run at a time. Destination is the
+// sink of every engine (with optional Tee mirroring).
 //
-// The payload is valid only for the duration of ReceivePage: the engine
-// reuses its export buffers for the next page, so a sink that keeps a
+// ReceivePages receives pfns[i] with payload payloads[i*s:(i+1)*s], where
+// s = len(payloads)/len(pfns) is the fixed export size of the source's page
+// store. Pages [0, landed) are fully received; a non-nil error means page
+// landed did NOT land, and nothing from it on was touched. The engine
+// retries a refused page with backoff and aborts on ErrDestinationLost.
+//
+// The payloads are valid only for the duration of ReceivePages: the engine
+// reuses its export buffers for the next chunk, so a sink that keeps a
 // payload must copy it.
 type PageSink interface {
-	ReceivePage(p mem.PFN, payload []byte) error
+	ReceivePages(pfns []mem.PFN, payloads []byte) (landed int, err error)
 }
-
-// DigestSink is the optional integrity extension of PageSink: a sink that
-// recomputes a content digest for every received payload and can answer what
-// it holds. Destination implements it; when the active sink does, the engine
-// runs the switchover digest audit and abortRun can mint a trustworthy
-// ResumeToken. A sink without digests silently disables both (the engine
-// cannot verify what it cannot ask about).
-type DigestSink interface {
-	PageSink
-	// PageDigestAt returns the digest of the payload last received for p
-	// (ok=false when p was never received into the current image).
-	PageDigestAt(p mem.PFN) (uint64, bool)
-	// ReceivedPages is the set of PFNs received into the current image
-	// (read-only for callers).
-	ReceivedPages() *mem.Bitmap
-	// DigestSnapshot copies the per-PFN digest table.
-	DigestSnapshot() []uint64
-	// RollingDigest is the run-level summary of the receive sequence.
-	RollingDigest() uint64
-	// Generation identifies the image: it changes whenever the sink's state
-	// is torn down (Destination bumps it on Discard).
-	Generation() uint64
-}
-
-var _ DigestSink = (*Destination)(nil)
 
 // NewWireCodec builds the default codec chain Cfg describes for a VM of n
 // pages: raw, optionally compressed, refined by per-page hints (hintFor may
@@ -314,51 +269,39 @@ func (c *Config) NewWireCodec(n uint64, hintFor func(mem.PFN) uint8, resends *ui
 	return codec, cacheBytes
 }
 
-// bindStages resolves the active stage set for one run: explicit Source
-// overrides win, otherwise defaults are derived from Cfg. transfer is the
-// suspension protocol's bitmap (nil when there is none). Must run after
-// FillDefaults and report initialization. With Cfg.Perf set, every bound
-// stage is additionally wrapped in its real-clock profiling decorator.
+// bindStages resolves the active stage set for one run from Cfg. transfer
+// is the suspension protocol's bitmap (nil when there is none). Must run
+// after FillDefaults and report initialization. With Cfg.Perf set, every
+// bound stage is additionally wrapped in its real-clock profiling decorator.
 func (s *Source) bindStages(transfer *mem.Bitmap) {
-	s.sink = s.Sink
-	if s.sink == nil {
-		s.sink = s.Dest
+	var sp SkipPolicy = transferAll{}
+	if transfer != nil {
+		sp = bitmapSkip{transfer: transfer}
 	}
-
-	s.skip = s.Skip
-	if s.skip == nil {
-		var sp SkipPolicy = transferAll{}
-		if transfer != nil {
-			sp = bitmapSkip{transfer: transfer}
-		}
-		if s.Cfg.SkipFreePages && s.GuestFree != nil {
-			sp = freeSkip{next: sp, free: s.GuestFree}
-		}
-		s.skip = sp
+	if s.Cfg.SkipFreePages && s.GuestFree != nil {
+		sp = freeSkip{next: sp, free: s.GuestFree}
 	}
-
-	s.codec = s.Codec
-	if s.codec == nil {
-		codec, cacheBytes := s.Cfg.NewWireCodec(s.Dom.NumPages(), s.HintFor, &s.report.DeltaResends)
-		s.codec = codec
-		if cacheBytes > 0 {
-			s.report.DeltaCacheBytes = cacheBytes
-		}
+	codec, cacheBytes := s.Cfg.NewWireCodec(s.Dom.NumPages(), s.HintFor, &s.report.DeltaResends)
+	if cacheBytes > 0 {
+		s.report.DeltaCacheBytes = cacheBytes
 	}
-
-	s.stop = s.Stop
-	if s.stop == nil {
-		s.stop = xenStop{
-			maxIterations: s.Cfg.MaxIterations,
-			threshold:     s.Cfg.DirtyPageThreshold,
-			trafficFactor: s.Cfg.MaxTrafficFactor,
-		}
+	s.skip = profileSkip(sp, s.Cfg.Perf)
+	s.codec = codec
+	s.stop = xenStop{
+		maxIterations: s.Cfg.MaxIterations,
+		threshold:     s.Cfg.DirtyPageThreshold,
+		trafficFactor: s.Cfg.MaxTrafficFactor,
 	}
-
 	if p := s.Cfg.Perf; p != nil {
-		s.skip = profileSkip(s.skip, p)
 		s.codec = profiledCodec{next: s.codec, p: p}
 		s.stop = profiledStop{next: s.stop, p: p}
-		s.sink = profileSink(s.sink, p)
 	}
+	s.bindSink()
+	s.chunk.reserve(s.Dom, s.Cfg.ChunkPages)
+}
+
+// bindSink binds the destination as the run's page sink, profiled when
+// Cfg.Perf is set.
+func (s *Source) bindSink() {
+	s.sink = profileSink(s.Dest, s.Cfg.Perf)
 }

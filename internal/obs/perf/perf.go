@@ -30,8 +30,9 @@ import (
 type Stage uint8
 
 const (
-	// StageSkipPolicy is the per-page "may this page stay behind" decision
-	// (transfer bitmap, free list).
+	// StageSkipPolicy is the "may these pages stay behind" decision
+	// (transfer bitmap, free list), one call per 64-page bitmap word of the
+	// to-send set.
 	StageSkipPolicy Stage = iota
 	// StageWireCodec is per-page wire encoding (compress, hints, delta).
 	StageWireCodec
@@ -41,7 +42,8 @@ const (
 	// Begin, EnterLastIter, Ready polling, Outcome).
 	StageSuspension
 	// StagePageSink is page delivery into the destination (including the
-	// destination's digest recompute).
+	// destination's digest recompute), one call per run of pages: a
+	// pre-copy chunk, or a single page.
 	StagePageSink
 	// StageLazyFetch is the post-copy engine's demand-fetch and prefetch
 	// path (link send, delivery, inline verification).
@@ -125,6 +127,11 @@ type Option func(*Profiler)
 // are attributed like wall time (self excludes nested stages). Costs one
 // runtime/metrics read per boundary, so leave it off for timing-sensitive
 // runs and on for the instrumented accounting run.
+//
+// The counter (/gc/heap/allocs:bytes) lags for small objects: the runtime
+// books the bytes of an object of at most 32 KiB only when its span leaves
+// the P's cache, so up to one span of a stage's small allocations can land
+// in a later stage. Objects above 32 KiB are booked when allocated.
 func WithAllocs() Option { return func(p *Profiler) { p.allocs = true } }
 
 // WithPprofLabels tags the goroutine with a {"stage": name} pprof label

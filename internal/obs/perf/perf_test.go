@@ -86,9 +86,13 @@ func busyWait(d time.Duration) {
 func TestProfilerAllocTracking(t *testing.T) {
 	p := NewProfiler(WithAllocs())
 	var sink [][]byte
+	// Objects above the runtime's 32 KiB small-object limit are booked when
+	// they are allocated; small ones only when their span leaves the P's
+	// cache (see WithAllocs). Large objects make the bound below test
+	// attribution rather than cache state.
 	p.Time(StagePageSink, func() {
-		for i := 0; i < 64; i++ {
-			sink = append(sink, make([]byte, 4096))
+		for i := 0; i < 4; i++ {
+			sink = append(sink, make([]byte, 64<<10))
 		}
 	})
 	_ = sink

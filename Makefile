@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-smoke bench-json
+.PHONY: all build test race vet fmt check bench bench-smoke bench-json examples
 
 all: build
 
@@ -39,6 +39,14 @@ bench:
 # check, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+
+# examples runs every program under examples/ once (`go build ./...` only
+# compiles them); any example that exits non-zero fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # bench-json records a perf-plane snapshot with the trajectory harness and
 # compares it against the committed baseline. Deterministic drift and missing

@@ -330,27 +330,27 @@ func analyzeFleet(o options, out io.Writer) error {
 		profiles[i] = prof
 	}
 	m := javmm.DefaultSLA()
-	res, err := javmm.MigrateMany(javmm.FleetOptions{
-		Mode:      mode,
-		Profiles:  profiles,
-		Seed:      o.Seed,
-		MemBytes:  o.MemMiB << 20,
-		Bandwidth: o.Bandwidth,
-		Warmup:    o.Warmup,
-		Stagger:   o.Stagger,
-		Engine:    javmm.EngineConfig{Compress: o.Compress},
-		Collect:   true,
-		SLA:       &m,
+	cluster, moves := javmm.Backbone(profiles, o.MemMiB<<20, o.Bandwidth)
+	res, err := javmm.Orchestrate(javmm.OrchestratorOptions{
+		Cluster: cluster,
+		Moves:   moves,
+		Mode:    mode,
+		Seed:    o.Seed,
+		Warmup:  o.Warmup,
+		Stagger: o.Stagger,
+		Engine:  javmm.EngineConfig{Compress: o.Compress},
+		Collect: true,
+		SLA:     &m,
 	})
 	if err != nil {
 		return err
 	}
-	for i := range res.VMs {
-		if e := res.VMs[i].Err; e != nil {
-			return fmt.Errorf("%s: %w", res.VMs[i].Name, e)
+	for i := range res.Moves {
+		if e := res.Moves[i].Err; e != nil {
+			return fmt.Errorf("%s: %w", res.Moves[i].Name, e)
 		}
-		if e := res.VMs[i].VerifyErr; e != nil {
-			return fmt.Errorf("%s: destination verification FAILED: %w", res.VMs[i].Name, e)
+		if e := res.Moves[i].VerifyErr; e != nil {
+			return fmt.Errorf("%s: destination verification FAILED: %w", res.Moves[i].Name, e)
 		}
 	}
 
@@ -387,13 +387,13 @@ func analyzeFleet(o options, out io.Writer) error {
 }
 
 // fleetTable is the per-VM outcome roll-up of a fleet run.
-func fleetTable(res *javmm.FleetResult) *experiments.Table {
+func fleetTable(res *javmm.PlanResult) *experiments.Table {
 	t := &experiments.Table{
 		Title:  "Fleet (per-VM outcomes, boot order)",
 		Header: []string{"vm", "start", "end", "total", "downtime", "wl-downtime", "traffic", "sla cost"},
 	}
-	for i := range res.VMs {
-		vm := &res.VMs[i]
+	for i := range res.Moves {
+		vm := &res.Moves[i]
 		cost := "n/a"
 		if vm.SLACost != nil {
 			cost = fmt.Sprintf("%.4f", vm.SLACost.Total)

@@ -497,14 +497,15 @@ func fleetOnce(spec fleetSpec, o options, prof *javmm.StageProfiler) ([]perf.Det
 	for i := range profiles {
 		profiles[i] = wl
 	}
-	fopts := javmm.FleetOptions{
-		Mode:     mode,
-		Profiles: profiles,
-		Seed:     o.Seed,
-		MemBytes: o.MemMiB << 20,
-		Warmup:   o.Warmup,
-		Stagger:  500 * time.Millisecond,
-		Engine:   javmm.EngineConfig{Perf: prof},
+	cluster, moves := javmm.Backbone(profiles, o.MemMiB<<20, 0)
+	fopts := javmm.OrchestratorOptions{
+		Cluster: cluster,
+		Moves:   moves,
+		Mode:    mode,
+		Seed:    o.Seed,
+		Warmup:  o.Warmup,
+		Stagger: 500 * time.Millisecond,
+		Engine:  javmm.EngineConfig{Perf: prof},
 	}
 	if spec.collect {
 		// The full observability plane, priced: the cell measures what
@@ -515,15 +516,15 @@ func fleetOnce(spec fleetSpec, o options, prof *javmm.StageProfiler) ([]perf.Det
 	}
 	before := readAllocs()
 	start := time.Now()
-	res, err := javmm.MigrateMany(fopts)
+	res, err := javmm.Orchestrate(fopts)
 	wall := time.Since(start)
 	delta := readAllocs().sub(before)
 	if err != nil {
 		return nil, 0, allocDelta{}, err
 	}
-	dets := make([]perf.Deterministic, len(res.VMs))
-	for i := range res.VMs {
-		vm := &res.VMs[i]
+	dets := make([]perf.Deterministic, len(res.Moves))
+	for i := range res.Moves {
+		vm := &res.Moves[i]
 		if vm.Err != nil {
 			return nil, 0, allocDelta{}, fmt.Errorf("%s: %w", vm.Name, vm.Err)
 		}

@@ -405,15 +405,15 @@ func runFleet(o options, prof javmm.Profile, mode javmm.Mode, out io.Writer) err
 	// The full observability plane rides along whenever any of its surfaces
 	// is asked for: the merged trace, the metrics page, the live progress
 	// stream or SLA pricing.
-	fopts := javmm.FleetOptions{
-		Mode:      mode,
-		Profiles:  profiles,
-		Seed:      o.Seed,
-		MemBytes:  o.MemMiB << 20,
-		Bandwidth: o.Bandwidth,
-		Warmup:    o.Warmup,
-		Stagger:   o.Stagger,
-		Engine:    javmm.EngineConfig{Compress: o.Compress},
+	cluster, moves := javmm.Backbone(profiles, o.MemMiB<<20, o.Bandwidth)
+	fopts := javmm.OrchestratorOptions{
+		Cluster: cluster,
+		Moves:   moves,
+		Mode:    mode,
+		Seed:    o.Seed,
+		Warmup:  o.Warmup,
+		Stagger: o.Stagger,
+		Engine:  javmm.EngineConfig{Compress: o.Compress},
 	}
 	fopts.Collect = o.TracePath != "" || o.Metrics || o.MetricsOut != "" || o.Progress || o.SLA || o.SLAOut != ""
 	if o.Progress {
@@ -423,15 +423,15 @@ func runFleet(o options, prof javmm.Profile, mode javmm.Mode, out io.Writer) err
 		m := javmm.DefaultSLA()
 		fopts.SLA = &m
 	}
-	res, err := javmm.MigrateMany(fopts)
+	res, err := javmm.Orchestrate(fopts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\n%-14s %-10s %-10s %-10s %-12s %-12s %-10s\n",
 		"vm", "start", "end", "total", "downtime", "wl-downtime", "traffic")
 	var firstErr error
-	for i := range res.VMs {
-		vm := &res.VMs[i]
+	for i := range res.Moves {
+		vm := &res.Moves[i]
 		if vm.Err != nil {
 			fmt.Fprintf(out, "%-14s FAILED: %v\n", vm.Name, vm.Err)
 			if firstErr == nil {
@@ -505,17 +505,6 @@ func runFleet(o options, prof javmm.Profile, mode javmm.Mode, out io.Writer) err
 			if err := coll.WritePrometheus(out); err != nil {
 				return err
 			}
-		}
-	} else if m := res.Metrics; m != nil {
-		snap := m.Snapshot()
-		if o.MetricsOut != "" {
-			if err := writeMetrics(o.MetricsOut, snap); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  metrics snapshot    %s\n", o.MetricsOut)
-		}
-		if o.Metrics {
-			printMetrics(out, snap)
 		}
 	}
 	return firstErr

@@ -8,9 +8,10 @@
 //
 // This example boots TWO such VMs — each running a Java workload (serial)
 // and a memcached-like cache side by side in 2 GiB — and migrates both at
-// the same time over one shared gigabit backbone (MigrateMany): the engines
-// split the link under fair-share arbitration while, inside each guest, the
-// JVM skips its young generation and the cache app skips its cold tail.
+// the same time over one shared gigabit backbone (Backbone, run through
+// Orchestrate): the engines split the link under fair-share arbitration
+// while, inside each guest, the JVM skips its young generation and the
+// cache app skips its cold tail.
 // Everything interleaves on one deterministic clock, so the run is exactly
 // reproducible.
 //
@@ -36,12 +37,14 @@ func main() {
 
 	for _, mode := range []javmm.Mode{javmm.ModeXen, javmm.ModeJAVMM} {
 		assisted := mode == javmm.ModeJAVMM
-		res, err := javmm.MigrateMany(javmm.FleetOptions{
-			Mode:     mode,
-			Profiles: []javmm.Profile{serial, serial},
-			Seed:     3,
-			Warmup:   180 * time.Second,
-			Stagger:  500 * time.Millisecond,
+		cluster, moves := javmm.Backbone([]javmm.Profile{serial, serial}, 0, 0)
+		res, err := javmm.Orchestrate(javmm.OrchestratorOptions{
+			Cluster: cluster,
+			Moves:   moves,
+			Mode:    mode,
+			Seed:    3,
+			Warmup:  180 * time.Second,
+			Stagger: 500 * time.Millisecond,
 			// Each VM gets a cache app beside the JVM; the returned
 			// Multiplex round-robins the guest CPUs between them and
 			// replaces the bare driver in the VM's guest process.
@@ -57,8 +60,8 @@ func main() {
 			log.Fatal(err)
 		}
 
-		for i := range res.VMs {
-			vm := &res.VMs[i]
+		for i := range res.Moves {
+			vm := &res.Moves[i]
 			if vm.Err != nil {
 				log.Fatalf("%s %s: %v", mode, vm.Name, vm.Err)
 			}
@@ -84,7 +87,7 @@ func main() {
 }
 
 // skippedVolume sums the bitmap-skipped page volume across iterations.
-func skippedVolume(vm *javmm.FleetVMResult) string {
+func skippedVolume(vm *javmm.PlanMoveResult) string {
 	var pages uint64
 	for _, it := range vm.Report.Iterations {
 		pages += it.PagesSkippedBitmap

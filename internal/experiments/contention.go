@@ -36,21 +36,22 @@ func AblationContention(o Options) (*Table, error) {
 			for i := range profiles {
 				profiles[i] = prof
 			}
-			res, err := fleet.Run(fleet.Options{
-				Mode:     mode,
-				Profiles: profiles,
-				Seed:     o.Seeds[0],
-				MemBytes: o.MemBytes,
-				Warmup:   o.Warmup,
-				Stagger:  500 * time.Millisecond,
-				SLA:      &model,
+			cluster, moves := fleet.Backbone(profiles, o.MemBytes, 0)
+			res, err := fleet.Orchestrate(fleet.OrchestratorOptions{
+				Cluster: cluster,
+				Moves:   moves,
+				Mode:    mode,
+				Seed:    o.Seeds[0],
+				Warmup:  o.Warmup,
+				Stagger: 500 * time.Millisecond,
+				SLA:     &model,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: contention %s/%d: %w", mode, n, err)
 			}
 			var total, down, wlDown time.Duration
-			for i := range res.VMs {
-				vm := &res.VMs[i]
+			for i := range res.Moves {
+				vm := &res.Moves[i]
 				if vm.Err != nil {
 					return nil, fmt.Errorf("experiments: contention %s/%d VM %s: %w", mode, n, vm.Name, vm.Err)
 				}

@@ -63,11 +63,7 @@ func AblationHealing(o Options) (*Table, error) {
 					}
 					completed++
 				}
-				if n := len(m.Attempts); n > 0 {
-					attempts += n
-				} else {
-					attempts++ // no-retry arm records no attempt entries
-				}
+				attempts += len(m.Attempts)
 				relocations += m.Relocations
 				backoff += m.HealBackoff
 			}

@@ -95,42 +95,12 @@ func (a *admissionState) release(route []string, dest string) {
 	a.perHost[dest]--
 }
 
-// admissionSpan is one interval a move occupied capacity for: a single
-// launch under the legacy orchestrator, or one healing attempt (each
-// relaunch is admitted separately and must be held to the same policy).
-type admissionSpan struct {
-	route      []string
-	to         string
-	start, end time.Duration
-}
-
-// admissionSpans explodes a move into its capacity intervals. Moves with an
-// attempt record contribute one span per attempt (relocated attempts carry
-// their own route/destination); legacy moves contribute their single
-// StartAt..EndAt window; never-launched moves contribute nothing.
-func admissionSpans(m *MoveResult) []admissionSpan {
-	if len(m.Attempts) > 0 {
-		out := make([]admissionSpan, 0, len(m.Attempts))
-		for _, a := range m.Attempts {
-			out = append(out, admissionSpan{a.Route, a.To, a.StartAt, a.EndAt})
-		}
-		return out
-	}
-	if m.Report == nil && m.Err == nil {
-		return nil // never launched
-	}
-	if m.StartAt == 0 && m.EndAt == 0 {
-		return nil // abandoned before its first attempt
-	}
-	return []admissionSpan{{m.Route, m.To, m.StartAt, m.EndAt}}
-}
-
 // VerifyAdmission post-checks a completed plan against the policy from the
-// per-move records: at no instant may more migrations than MaxPerLink have
-// been in flight across one link, nor more than MaxPerHost inbound on one
-// destination. Under the healing layer every attempt is checked as its own
-// interval, so the caps provably held across retries and relocations too.
-// The chaos runner uses it as the "admission never over-commits" invariant.
+// per-move attempt records: at no instant may more migrations than
+// MaxPerLink have been in flight across one link, nor more than MaxPerHost
+// inbound on one destination. Every attempt is checked as its own interval,
+// so the caps provably held across retries and relocations too. The chaos
+// runner uses it as the "admission never over-commits" invariant.
 func VerifyAdmission(moves []MoveResult, policy AdmissionPolicy) error {
 	type edge struct {
 		at    time.Duration
@@ -161,10 +131,10 @@ func VerifyAdmission(moves []MoveResult, policy AdmissionPolicy) error {
 	if policy.MaxPerLink > 0 {
 		perLink := map[string][]edge{}
 		for i := range moves {
-			for _, sp := range admissionSpans(&moves[i]) {
-				for _, l := range sp.route {
+			for _, a := range moves[i].Attempts {
+				for _, l := range a.Route {
 					perLink[l] = append(perLink[l],
-						edge{sp.start, 1}, edge{sp.end, -1})
+						edge{a.StartAt, 1}, edge{a.EndAt, -1})
 				}
 			}
 		}
@@ -182,9 +152,9 @@ func VerifyAdmission(moves []MoveResult, policy AdmissionPolicy) error {
 	if policy.MaxPerHost > 0 {
 		perHost := map[string][]edge{}
 		for i := range moves {
-			for _, sp := range admissionSpans(&moves[i]) {
-				perHost[sp.to] = append(perHost[sp.to],
-					edge{sp.start, 1}, edge{sp.end, -1})
+			for _, a := range moves[i].Attempts {
+				perHost[a.To] = append(perHost[a.To],
+					edge{a.StartAt, 1}, edge{a.EndAt, -1})
 			}
 		}
 		names := make([]string, 0, len(perHost))

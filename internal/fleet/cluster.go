@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -48,6 +49,9 @@ type VMSpec struct {
 	Workload string
 	// MemBytes is the VM memory (default 2 GiB).
 	MemBytes uint64
+	// Tuned, when non-nil, replaces the catalog profile Workload names with
+	// one tuned in code (say, a capped young generation).
+	Tuned *workload.Profile
 	// Cycle, when enabled, overrides the profile's activity cycle — the
 	// quiet-phase structure the cycle-aware scheduler exploits.
 	Cycle workload.CycleSpec
@@ -127,11 +131,17 @@ func (v VMSpec) workloadName() string {
 	return v.Workload
 }
 
-// Profile resolves the VM's workload profile with its cycle override.
+// Profile resolves the VM's workload profile (Tuned, else the catalog
+// entry) with its cycle override.
 func (v VMSpec) Profile() (workload.Profile, error) {
-	prof, err := workload.Lookup(v.workloadName())
-	if err != nil {
-		return workload.Profile{}, err
+	var prof workload.Profile
+	if v.Tuned != nil {
+		prof = *v.Tuned
+	} else {
+		var err error
+		if prof, err = workload.Lookup(v.workloadName()); err != nil {
+			return workload.Profile{}, err
+		}
 	}
 	if v.Cycle.Enabled() {
 		prof.Cycle = v.Cycle
@@ -380,7 +390,9 @@ func parseLink(toks []string) (LinkSpec, error) {
 		case "bw":
 			l.Bandwidth, err = parseSize(val)
 		case "lat":
-			l.Latency, err = time.ParseDuration(val)
+			if l.Latency, err = time.ParseDuration(val); err == nil && l.Latency < 0 {
+				err = fmt.Errorf("negative latency")
+			}
 		case "hosts":
 			l.Hosts = strings.Split(val, ",")
 		default:
@@ -434,6 +446,9 @@ func parseCycle(spec string) (workload.CycleSpec, error) {
 	if c.Period, err = time.ParseDuration(parts[0]); err != nil {
 		return workload.CycleSpec{}, err
 	}
+	if c.Period <= 0 {
+		return workload.CycleSpec{}, fmt.Errorf("cycle period %v is not positive", c.Period)
+	}
 	if c.QuietStart, err = time.ParseDuration(parts[1]); err != nil {
 		return workload.CycleSpec{}, err
 	}
@@ -452,7 +467,8 @@ func parseCycle(spec string) (workload.CycleSpec, error) {
 }
 
 // parseSize parses a byte (or bytes/sec) size with optional binary
-// K/M/G/T suffix: "2G", "512M", "125000000".
+// K/M/G/T suffix: "2G", "512M", "125000000". A size past 2^64-1 is an
+// error, not a silent wrap.
 func parseSize(s string) (uint64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty size")
@@ -473,7 +489,7 @@ func parseSize(s string) (uint64, error) {
 		num = s[:len(s)-1]
 	}
 	v, err := strconv.ParseUint(num, 10, 64)
-	if err != nil {
+	if err != nil || v > math.MaxUint64/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return v * mult, nil

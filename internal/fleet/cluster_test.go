@@ -74,13 +74,19 @@ func TestParseClusterDefaultsAndErrors(t *testing.T) {
 		"frob a",              // unknown statement
 		"host a; host a",      // duplicate host
 		"host a; vm v on zzz", // unknown placement
-		"host a; link l bw 1G hosts a,zzz; vm v on a", // unknown link host
-		"host a; link l bw 1G hosts a",                // single-ended link
-		"host a ram 1G; vm v on a mem 2G",             // overcommit
-		"host a; vm v on a workload nosuch",           // unknown workload
-		"host a; vm v on a cycle 60s/70s/10s/0.1",     // quiet start past period
-		"host a; vm v on a cycle 60s/0s/10s/1.5",      // factor out of range
-		"host a ram",                                  // dangling attribute
+		"host a; link l bw 1G hosts a,zzz; vm v on a",    // unknown link host
+		"host a; link l bw 1G hosts a",                   // single-ended link
+		"host a ram 1G; vm v on a mem 2G",                // overcommit
+		"host a; vm v on a workload nosuch",              // unknown workload
+		"host a; vm v on a cycle 60s/70s/10s/0.1",        // quiet start past period
+		"host a; vm v on a cycle 60s/0s/10s/1.5",         // factor out of range
+		"host a ram",                                     // dangling attribute
+		"host a nic 17179869184G",                        // 2^64: wraps to 0, an uncapped NIC
+		"host a; vm v on a mem 16777216T",                // 2^64: wraps to 0, the 2 GiB default
+		"host a ram 20000000T",                           // wraps to 3.5e18
+		"host a; host b; link l bw 1G lat -5s hosts a,b", // negative latency
+		"host a; vm v on a cycle 60s/40s/15s/NaN",        // NaN factor passes a range check
+		"host a; vm v on a cycle 0s/0s/10s/0.5",          // a declared cycle with no period
 	} {
 		if _, err := ParseCluster(bad); err == nil {
 			t.Errorf("ParseCluster(%q) succeeded, want error", bad)
@@ -224,6 +230,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"evacuate h1",          // missing "host"
 		"drain host h1",        // wrong keyword
 		"rebalance util 1.5",   // out of range
+		"rebalance util NaN",   // NaN passes a range check
 		"migrate web to h3",    // missing "vm"
 		"migrate vm web off",   // bad tail
 		"defragment the array", // unknown directive

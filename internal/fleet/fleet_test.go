@@ -22,16 +22,25 @@ func profiles(t *testing.T, names ...string) []workload.Profile {
 	return out
 }
 
+// backboneOpts runs the named profiles as a Backbone fleet: one VM per
+// source host, every move into dst over one shared gigabit link, launched
+// naively (the zero Ordering) at Warmup + i·Stagger.
+func backboneOpts(t *testing.T, mode migration.Mode, stagger time.Duration, names ...string) OrchestratorOptions {
+	c, moves := Backbone(profiles(t, names...), 0, 0)
+	return OrchestratorOptions{
+		Cluster: c,
+		Moves:   moves,
+		Mode:    mode,
+		Seed:    7,
+		Warmup:  10 * time.Second,
+		Stagger: stagger,
+	}
+}
+
 // fleetOpts is the canonical 4-VM contended run the acceptance criterion
 // names: four VMs on one shared gigabit backbone, staggered starts.
-func fleetOpts(t *testing.T, mode migration.Mode) Options {
-	return Options{
-		Mode:     mode,
-		Profiles: profiles(t, "compress", "crypto", "derby", "xml"),
-		Seed:     7,
-		Warmup:   10 * time.Second,
-		Stagger:  500 * time.Millisecond,
-	}
+func fleetOpts(t *testing.T, mode migration.Mode) OrchestratorOptions {
+	return backboneOpts(t, mode, 500*time.Millisecond, "compress", "crypto", "derby", "xml")
 }
 
 // Acceptance: a 4-VM run over one shared link is deterministic — the same
@@ -40,16 +49,16 @@ func fleetOpts(t *testing.T, mode migration.Mode) Options {
 func TestFleetDeterministic(t *testing.T) {
 	for _, mode := range []migration.Mode{migration.ModeVanilla, migration.ModeAppAssisted} {
 		t.Run(mode.String(), func(t *testing.T) {
-			r1, err := Run(fleetOpts(t, mode))
+			r1, err := Orchestrate(fleetOpts(t, mode))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := Run(fleetOpts(t, mode))
+			r2, err := Orchestrate(fleetOpts(t, mode))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range r1.VMs {
-				a, b := r1.VMs[i], r2.VMs[i]
+			for i := range r1.Moves {
+				a, b := &r1.Moves[i], &r2.Moves[i]
 				if a.Err != nil || b.Err != nil {
 					t.Fatalf("VM %s errored: %v / %v", a.Name, a.Err, b.Err)
 				}
@@ -78,21 +87,16 @@ func TestFleetDeterministic(t *testing.T) {
 // backbone takes longer than migrating alone on it, and the backbone's byte
 // accounting covers every engine's bulk traffic.
 func TestFleetContentionSlowsMigration(t *testing.T) {
-	solo, err := Run(Options{
-		Mode:     migration.ModeVanilla,
-		Profiles: profiles(t, "compress"),
-		Seed:     7,
-		Warmup:   10 * time.Second,
-	})
+	solo, err := Orchestrate(backboneOpts(t, migration.ModeVanilla, 0, "compress"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	crowd, err := Run(fleetOpts(t, migration.ModeVanilla))
+	crowd, err := Orchestrate(fleetOpts(t, migration.ModeVanilla))
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloTime := solo.VMs[0].Report.TotalTime
-	crowdTime := crowd.VMs[0].Report.TotalTime
+	soloTime := solo.Moves[0].Report.TotalTime
+	crowdTime := crowd.Moves[0].Report.TotalTime
 	if crowdTime <= soloTime {
 		t.Fatalf("contended migration (%v) not slower than solo (%v)", crowdTime, soloTime)
 	}
@@ -104,7 +108,7 @@ func TestFleetContentionSlowsMigration(t *testing.T) {
 		}
 	}
 	var engines uint64
-	for _, vm := range crowd.VMs {
+	for _, vm := range crowd.Moves {
 		engines += vm.Report.TotalBytes()
 	}
 	// The backbone carries the engines' bulk traffic; control round-trips and
@@ -127,17 +131,13 @@ func TestFleetAllModes(t *testing.T) {
 		migration.ModePostCopy, migration.ModeHybrid,
 	} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := Run(Options{
-				Mode:     mode,
-				Profiles: profiles(t, "compress", "crypto"),
-				Seed:     3,
-				Warmup:   10 * time.Second,
-				Stagger:  250 * time.Millisecond,
-			})
+			opts := backboneOpts(t, mode, 250*time.Millisecond, "compress", "crypto")
+			opts.Seed = 3
+			res, err := Orchestrate(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, vm := range res.VMs {
+			for _, vm := range res.Moves {
 				if vm.Err != nil {
 					t.Fatalf("VM %s: %v", vm.Name, vm.Err)
 				}
@@ -152,9 +152,37 @@ func TestFleetAllModes(t *testing.T) {
 	}
 }
 
-// Options validation: an empty fleet is an error, not a silent no-op.
+// Stagger launches Backbone move i at exactly Warmup + i·Stagger, off the
+// orchestrator's 500 ms decision grid: the orchestrator wakes at each
+// eligibility instant and readies the parked engine at once.
+func TestBackboneStaggerStartsOnTheInstant(t *testing.T) {
+	opts := backboneOpts(t, migration.ModeVanilla, 250*time.Millisecond, "compress", "crypto", "mpeg")
+	res, err := Orchestrate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Moves {
+		m := &res.Moves[i]
+		want := opts.Warmup + time.Duration(i)*opts.Stagger
+		if m.Err != nil {
+			t.Fatalf("VM %s: %v", m.Name, m.Err)
+		}
+		if m.EligibleAt != want || m.LaunchedAt != want || m.StartAt != want {
+			t.Fatalf("VM %s eligible %v, launched %v, started %v; want all at %v",
+				m.Name, m.EligibleAt, m.LaunchedAt, m.StartAt, want)
+		}
+	}
+}
+
+// An empty fleet is a successful no-op: nothing to boot, nothing to move,
+// empty accounting.
 func TestFleetEmpty(t *testing.T) {
-	if _, err := Run(Options{Mode: migration.ModeVanilla}); err == nil {
-		t.Fatal("empty fleet ran")
+	res, err := Orchestrate(backboneOpts(t, migration.ModeVanilla, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Moves) != 0 || res.MakeSpan != 0 || len(res.Fabric.Links) != 0 {
+		t.Fatalf("empty fleet produced %d moves, makespan %v, %d links",
+			len(res.Moves), res.MakeSpan, len(res.Fabric.Links))
 	}
 }

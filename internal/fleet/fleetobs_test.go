@@ -13,25 +13,20 @@ import (
 )
 
 // obsOpts is a 2-VM contended run with the full observability plane on.
-func obsOpts(t *testing.T, mode migration.Mode) Options {
-	return Options{
-		Mode:     mode,
-		Profiles: profiles(t, "compress", "derby"),
-		Seed:     7,
-		Warmup:   10 * time.Second,
-		Stagger:  500 * time.Millisecond,
-		Collect:  true,
-	}
+func obsOpts(t *testing.T, mode migration.Mode) OrchestratorOptions {
+	opts := backboneOpts(t, mode, 500*time.Millisecond, "compress", "derby")
+	opts.Collect = true
+	return opts
 }
 
-func mustRunObs(t *testing.T, opts Options) *Result {
+func mustRunObs(t *testing.T, opts OrchestratorOptions) *PlanResult {
 	t.Helper()
-	res, err := Run(opts)
+	res, err := Orchestrate(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res.VMs {
-		r := &res.VMs[i]
+	for i := range res.Moves {
+		r := &res.Moves[i]
 		if r.Err != nil {
 			t.Fatalf("VM %s errored: %v", r.Name, r.Err)
 		}
@@ -45,9 +40,9 @@ func mustRunObs(t *testing.T, opts Options) *Result {
 	return res
 }
 
-// Satellite 3's golden: a 2-VM MigrateMany with the fleet plane on emits one
-// merged Chrome trace, byte-identical run to run (the test binary runs under
-// -race in CI, so this is the determinism-under-race acceptance too).
+// A 2-VM Backbone fleet with the fleet plane on emits one merged Chrome
+// trace, byte-identical run to run (the test binary runs under -race in CI,
+// so this is the determinism-under-race acceptance too).
 func TestFleetMergedTraceByteIdentical(t *testing.T) {
 	var traces [2][]byte
 	var proms [2][]byte
@@ -75,21 +70,15 @@ func TestFleetMergedTraceByteIdentical(t *testing.T) {
 // The merged trace carries one process row per VM plus the fabric row, and
 // the fabric row holds per-flow transfer spans.
 func TestFleetTraceLanes(t *testing.T) {
-	opts := Options{
-		Mode:     migration.ModeAppAssisted,
-		Profiles: profiles(t, "compress", "crypto", "derby", "xml"),
-		Seed:     7,
-		Warmup:   10 * time.Second,
-		Stagger:  500 * time.Millisecond,
-		Collect:  true,
-	}
+	opts := fleetOpts(t, migration.ModeAppAssisted)
+	opts.Collect = true
 	res := mustRunObs(t, opts)
 
 	lanes := res.Obs.Lanes()
 	if len(lanes) != 5 {
 		t.Fatalf("lanes = %d, want 4 VMs + fabric", len(lanes))
 	}
-	for i, r := range res.VMs {
+	for i, r := range res.Moves {
 		if lanes[i].Name != r.Name {
 			t.Fatalf("lane %d = %q, want %q", i, lanes[i].Name, r.Name)
 		}
@@ -116,7 +105,7 @@ func TestFleetTraceLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, r := range res.VMs {
+	for _, r := range res.Moves {
 		if !strings.Contains(out, `{"name":"process_name","ph":"M","ts":0,`) ||
 			!strings.Contains(out, `"args":{"name":"`+r.Name+`"}`) {
 			t.Fatalf("trace missing process row for %s", r.Name)
@@ -161,7 +150,7 @@ func TestFleetFabricUtilizationReconciles(t *testing.T) {
 	if link.Utilization <= 0 || link.Utilization > 1 {
 		t.Fatalf("utilization = %v, want (0,1]", link.Utilization)
 	}
-	if len(res.Fabric.Flows) != len(res.VMs) {
+	if len(res.Fabric.Flows) != len(res.Moves) {
 		t.Fatalf("flows = %d, want one per VM", len(res.Fabric.Flows))
 	}
 
@@ -174,14 +163,24 @@ func TestFleetFabricUtilizationReconciles(t *testing.T) {
 		t.Fatalf("fleet counter says %d bytes, fabric report says %d", sent, link.BytesSent)
 	}
 	// Each VM's port counts its own net.* traffic in the VM's registry;
-	// summed across planes they must cover every flow's bytes exactly.
+	// summed across planes they must cover every flow's bytes exactly. The
+	// engine counts into the same per-VM registry.
 	var netSent int64
 	for i, plane := range res.Obs.VMs() {
-		v, ok := plane.Metrics.Snapshot().Counter("net.bytes_sent")
+		snap := plane.Metrics.Snapshot()
+		v, ok := snap.Counter("net.bytes_sent")
 		if !ok {
-			t.Fatalf("VM %s registry missing net.bytes_sent", res.VMs[i].Name)
+			t.Fatalf("VM %s registry missing net.bytes_sent", res.Moves[i].Name)
 		}
 		netSent += v
+		var pages uint64
+		for _, it := range res.Moves[i].Report.Iterations {
+			pages += it.PagesSent
+		}
+		if got, ok := snap.Counter("migration.pages_sent"); !ok || uint64(got) != pages {
+			t.Fatalf("VM %s registry says %d pages sent (present %v), report says %d",
+				res.Moves[i].Name, got, ok, pages)
+		}
 	}
 	var flowSum uint64
 	for _, f := range res.Fabric.Flows {
@@ -217,7 +216,7 @@ func TestFleetProgressStream(t *testing.T) {
 		lastAt = e.p.At
 	}
 	for i, plane := range res.Obs.VMs() {
-		name := res.VMs[i].Name
+		name := res.Moves[i].Name
 		stream := plane.Progress()
 		if len(stream) < 3 {
 			t.Fatalf("VM %s captured only %d progress points", name, len(stream))
@@ -232,7 +231,7 @@ func TestFleetProgressStream(t *testing.T) {
 		if last.Phase != migration.ProgressDone {
 			t.Fatalf("VM %s stream ends with %q", name, last.Phase)
 		}
-		rep := res.VMs[i].Report
+		rep := res.Moves[i].Report
 		if last.BytesSent != rep.TotalBytes() {
 			t.Fatalf("VM %s final progress says %d bytes, report says %d",
 				name, last.BytesSent, rep.TotalBytes())
@@ -255,7 +254,7 @@ func TestFleetProgressStream(t *testing.T) {
 	opts2.OnProgress = func(vm string, p migration.Progress) {
 		direct = append(direct, tagged{vm, p})
 	}
-	if _, err := Run(opts2); err != nil {
+	if _, err := Orchestrate(opts2); err != nil {
 		t.Fatal(err)
 	}
 	if len(direct) != len(live) {
@@ -282,14 +281,14 @@ func TestFleetSLAReconciles(t *testing.T) {
 			if res.SLA == nil {
 				t.Fatal("no fleet SLA aggregate")
 			}
-			if len(res.SLA.PerVM) != len(res.VMs) {
-				t.Fatalf("priced %d VMs, fleet has %d", len(res.SLA.PerVM), len(res.VMs))
+			if len(res.SLA.PerVM) != len(res.Moves) {
+				t.Fatalf("priced %d VMs, fleet has %d", len(res.SLA.PerVM), len(res.Moves))
 			}
 			if err := res.SLA.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			for i := range res.VMs {
-				r := &res.VMs[i]
+			for i := range res.Moves {
+				r := &res.Moves[i]
 				if r.SLACost == nil {
 					t.Fatalf("VM %s has no SLA cost", r.Name)
 				}
@@ -316,22 +315,5 @@ func TestFleetSLAReconciles(t *testing.T) {
 				t.Fatal("no worst VM named")
 			}
 		})
-	}
-}
-
-// Collect supersedes CollectMetrics: the legacy shared registry stays nil,
-// the per-VM registries carry the engine counters instead.
-func TestCollectSupersedesCollectMetrics(t *testing.T) {
-	opts := obsOpts(t, migration.ModeVanilla)
-	opts.CollectMetrics = true
-	res := mustRunObs(t, opts)
-	if res.Metrics != nil {
-		t.Fatal("Collect run still built the legacy shared registry")
-	}
-	for i, plane := range res.Obs.VMs() {
-		snap := plane.Metrics.Snapshot()
-		if _, ok := snap.Counter("migration.pages_sent"); !ok {
-			t.Fatalf("VM %s registry missing migration.pages_sent", res.VMs[i].Name)
-		}
 	}
 }

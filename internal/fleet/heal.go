@@ -24,11 +24,12 @@ import (
 // migrations trip a circuit breaker and drop out of destination selection
 // until a cooldown passes. A plan that exhausts its budgets completes
 // partially: every move ends in a typed outcome, failed moves with their
-// source VM cleanly resumed.
+// source VM cleanly resumed. Healing is the orchestrator's general loop:
+// with Retry disabled the same loop runs under oneAttempt.
 
-// RetryPolicy bounds the healing layer's persistence. The zero value (with
-// Enabled false) disables healing entirely: Orchestrate behaves exactly as
-// before, one attempt per move.
+// RetryPolicy bounds the healing layer's persistence. With Enabled false
+// the orchestrator runs the one-attempt policy instead: one launch per move,
+// no breaker, no relocation, no deadlines.
 type RetryPolicy struct {
 	// Enabled turns the healing layer on. When set, the engine's
 	// Recovery.EnableResume is forced on so failed attempts keep the
@@ -60,6 +61,19 @@ type RetryPolicy struct {
 	DisableRelocation bool
 	// Breaker is the per-host circuit breaker policy.
 	Breaker BreakerPolicy
+}
+
+// noDeadline stands in for an unbounded deadline (about 146 years of
+// virtual time, far from overflowing when added to a warmup).
+const noDeadline = time.Duration(1 << 62)
+
+// oneAttempt is the policy of a plan without healing.
+var oneAttempt = RetryPolicy{
+	MaxAttempts:       1,
+	DisableRelocation: true,
+	MoveDeadline:      noDeadline,
+	PlanDeadline:      noDeadline,
+	Breaker:           BreakerPolicy{Threshold: -1},
 }
 
 func (p *RetryPolicy) fillDefaults() {
@@ -259,8 +273,8 @@ func (b *hostBreaker) open(host string, now time.Duration) (time.Duration, bool)
 	return u, true
 }
 
-// healState is the healing layer's shared launch state, mutated only under
-// the cooperative scheduler (like granted/inflight in the legacy path).
+// healState is the orchestrator's shared launch state, mutated only under
+// the cooperative scheduler (like inflight).
 type healState struct {
 	pol RetryPolicy
 	// pending: the move wants a (re)launch grant. abandon: the orchestrator
@@ -268,11 +282,10 @@ type healState struct {
 	pending, abandon []bool
 	// notBefore gates relaunches behind backoff/cooldown waits.
 	notBefore []time.Duration
-	// attempts counts launches; firstLaunch anchors the move deadline.
-	attempts     []int
-	firstLaunch  []time.Duration
-	launchedOnce []bool
-	breaker      *hostBreaker
+	// attempts counts grants; firstLaunch anchors the move deadline.
+	attempts    []int
+	firstLaunch []time.Duration
+	breaker     *hostBreaker
 	// planEnd is the plan deadline instant (warmup + PlanDeadline; the clock
 	// starts at zero, so it is static).
 	planEnd time.Duration
@@ -280,16 +293,26 @@ type healState struct {
 
 func newHealState(pol RetryPolicy, n int, warmup time.Duration) *healState {
 	return &healState{
-		pol:          pol,
-		pending:      make([]bool, n),
-		abandon:      make([]bool, n),
-		notBefore:    make([]time.Duration, n),
-		attempts:     make([]int, n),
-		firstLaunch:  make([]time.Duration, n),
-		launchedOnce: make([]bool, n),
-		breaker:      newHostBreaker(pol.Breaker),
-		planEnd:      warmup + pol.PlanDeadline,
+		pol:         pol,
+		pending:     make([]bool, n),
+		abandon:     make([]bool, n),
+		notBefore:   make([]time.Duration, n),
+		attempts:    make([]int, n),
+		firstLaunch: make([]time.Duration, n),
+		breaker:     newHostBreaker(pol.Breaker),
+		planEnd:     warmup + pol.PlanDeadline,
 	}
+}
+
+// settled reports whether no move can ask for another grant: each one has
+// ended, been abandoned, or holds its last allowed attempt.
+func (h *healState) settled(moves []MoveResult) bool {
+	for i := range moves {
+		if moves[i].Outcome == OutcomePending && !h.abandon[i] && h.attempts[i] < h.pol.MaxAttempts {
+			return false
+		}
+	}
+	return true
 }
 
 // healBackoff is attempt k's backoff draw: uniform in [c/2, c] with

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -170,6 +171,77 @@ func TestHealNoDestinationDegradesWithoutSpin(t *testing.T) {
 	}
 	if !m.SourceRunning() {
 		t.Fatal("failed move left its source paused")
+	}
+}
+
+// Without healing a plan runs the same loop under the one-attempt policy
+// (X17's no-retry arm): every launched move records exactly one attempt
+// spanning its engine window, and the move into the crashed host keeps the
+// attempt's own typed error, not wrapped by the healer.
+func TestOneAttemptPolicyRecordsAttempts(t *testing.T) {
+	spec := "host src ram 64G; host d1 ram 64G; host d2 ram 64G; " +
+		"vm vm0 on src workload mpeg mem 512M; vm vm1 on src workload mpeg mem 512M"
+	opts := healOrchOptions(t, spec, faults.Plan{
+		{Site: faults.SiteHostCrash, For: time.Hour, Host: "d1"},
+	})
+	opts.Retry = RetryPolicy{}
+	opts.Engine.Recovery.EnableResume = true
+	res, err := Orchestrate(opts)
+	if err != nil {
+		t.Fatalf("orchestrate: %v", err)
+	}
+	failed := 0
+	for i := range res.Moves {
+		m := &res.Moves[i]
+		if len(m.Attempts) != 1 {
+			t.Fatalf("move %s: %d attempts, want 1", m.Name, len(m.Attempts))
+		}
+		a := m.Attempts[0]
+		if a.To != m.To || a.StartAt != m.StartAt || a.EndAt != m.EndAt || a.Backoff != 0 {
+			t.Fatalf("move %s: attempt %+v does not span its window [%v, %v] to %s",
+				m.Name, a, m.StartAt, m.EndAt, m.To)
+		}
+		if m.Err == nil {
+			if m.Outcome != OutcomeCompleted || a.Err != "" {
+				t.Fatalf("move %s: outcome %s, attempt error %q", m.Name, m.Outcome, a.Err)
+			}
+			continue
+		}
+		failed++
+		if m.To != "d1" || m.Outcome != OutcomeFailed || a.Err != m.Err.Error() {
+			t.Fatalf("move %s to %s: outcome %s, err %v, attempt error %q",
+				m.Name, m.To, m.Outcome, m.Err, a.Err)
+		}
+		if !errors.Is(m.Err, migration.ErrDestinationLost) {
+			t.Fatalf("move %s: err %v is not ErrDestinationLost", m.Name, m.Err)
+		}
+		if strings.Contains(m.Err.Error(), "fleet: heal:") {
+			t.Fatalf("move %s: err %q wrapped by the healer", m.Name, m.Err)
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d moves failed, want the one into d1", failed)
+	}
+	if err := VerifyAdmission(res.Moves, opts.Admission); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Negative budgets and timings are refused up front: with no attempt to
+// grant, the orchestrator could never settle its plan.
+func TestOrchestrateRejectsNegativeOptions(t *testing.T) {
+	for name, bad := range map[string]func(*OrchestratorOptions){
+		"attempts": func(o *OrchestratorOptions) { o.Retry.MaxAttempts = -1 },
+		"backoff":  func(o *OrchestratorOptions) { o.Retry.BaseBackoff = -time.Second },
+		"warmup":   func(o *OrchestratorOptions) { o.Warmup = -time.Second },
+		"stagger":  func(o *OrchestratorOptions) { o.Stagger = -time.Second },
+		"quantum":  func(o *OrchestratorOptions) { o.DecisionQuantum = -time.Second },
+	} {
+		opts := healOrchOptions(t, healClusterSpec, nil)
+		bad(&opts)
+		if _, err := Orchestrate(opts); err == nil {
+			t.Errorf("Orchestrate accepted a negative %s", name)
+		}
 	}
 }
 

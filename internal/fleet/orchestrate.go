@@ -79,20 +79,26 @@ type OrchestratorOptions struct {
 	Mode migration.Mode
 	// Seed is the base workload seed; move i boots with Seed + i.
 	Seed int64
-	// Ordering selects the launch policy (default OrderCycleAware).
+	// Ordering selects the launch policy (default OrderNaive, the zero
+	// value).
 	Ordering Ordering
 	// Admission bounds concurrency for OrderAdmission and OrderCycleAware;
 	// OrderNaive ignores it.
 	Admission AdmissionPolicy
 	// Retry, when Enabled, turns on the self-healing layer: failed moves are
 	// retried (token-reusing) or relocated under attempt/deadline budgets
-	// and a per-host circuit breaker. Disabled, Orchestrate is exactly the
-	// legacy one-attempt-per-move orchestrator.
+	// and a per-host circuit breaker. Disabled, every move runs under the
+	// one-attempt policy: one launch, no breaker, no relocation, no
+	// deadlines.
 	Retry RetryPolicy
 
 	// Warmup is how long the guests run before the orchestrator makes its
 	// first launch decision (default 60 s).
 	Warmup time.Duration
+	// Stagger delays move i's eligibility to Warmup + i·Stagger; the
+	// orchestrator wakes at each eligibility instant, so a naive plan
+	// launches move i at exactly that instant.
+	Stagger time.Duration
 	// DecisionQuantum is the orchestrator's deterministic decision tick
 	// (default 500 ms): deferred launches are reconsidered at this period.
 	DecisionQuantum time.Duration
@@ -103,6 +109,13 @@ type OrchestratorOptions struct {
 	// GuestQuantum is the guest processes' pause-check granularity
 	// (default 1 ms).
 	GuestQuantum time.Duration
+
+	// Attach, when non-nil, runs once per booted VM (in move order, before
+	// any virtual time passes) to attach extra applications — e.g. a cache
+	// app beside the JVM. The returned executor (typically a Multiplex of
+	// the VM's driver and the app) replaces the bare workload driver in
+	// that VM's guest process; returning nil keeps the driver.
+	Attach func(i int, vm *workload.VM) (migration.GuestExecutor, error)
 
 	// Engine overrides engine defaults; Mode above wins over Engine.Mode.
 	Engine migration.Config
@@ -132,6 +145,10 @@ func (o *OrchestratorOptions) fillDefaults() error {
 	if err := o.Cluster.Validate(); err != nil {
 		return err
 	}
+	if o.Warmup < 0 || o.Stagger < 0 || o.DecisionQuantum < 0 {
+		return fmt.Errorf("fleet: orchestrate: negative warmup %v, stagger %v or decision quantum %v",
+			o.Warmup, o.Stagger, o.DecisionQuantum)
+	}
 	if o.Warmup == 0 {
 		o.Warmup = 60 * time.Second
 	}
@@ -144,34 +161,65 @@ func (o *OrchestratorOptions) fillDefaults() error {
 	if o.GuestQuantum == 0 {
 		o.GuestQuantum = time.Millisecond
 	}
-	if o.Retry.Enabled {
-		o.Retry.fillDefaults()
+	if !o.Retry.Enabled {
+		o.Retry = oneAttempt
+		return nil
 	}
+	if r := o.Retry; r.MaxAttempts < 0 || r.BaseBackoff < 0 || r.MaxBackoff < 0 {
+		return fmt.Errorf("fleet: orchestrate: negative retry budget (attempts %d, backoff %v/%v)",
+			r.MaxAttempts, r.BaseBackoff, r.MaxBackoff)
+	}
+	o.Retry.fillDefaults()
 	return nil
 }
 
 // MoveResult is one executed (or still-deferred-at-abort) move: the VM's
 // migration outcome plus the orchestrator's scheduling record.
 type MoveResult struct {
-	VMResult
+	// Name is the VM's domain name.
+	Name   string
+	Report *migration.Report
+	// WorkloadDowntime is stop-and-copy plus resumption, plus — for an
+	// effective app-assisted run — the enforced GC and final bitmap update.
+	WorkloadDowntime time.Duration
+	// EnforcedGC is the pre-suspension collection's duration (zero unless
+	// app-assisted).
+	EnforcedGC time.Duration
+	// VerifyErr is the destination-consistency outcome, checked at the
+	// engine's completion instant, before any other process resumes
+	// dirtying this VM's memory.
+	VerifyErr error
+	// Err is the migration error, if the engine aborted.
+	Err error
+	// StartAt/EndAt are the engine's bounds on the shared clock (first
+	// attempt's start, last attempt's end).
+	StartAt, EndAt time.Duration
+	// Samples is the VM's per-second throughput curve over the whole run
+	// (warmup through the last engine's completion) — the workload data the
+	// SLA dip integral prices.
+	Samples []workload.Sample
+	// SLACost prices this VM's migration (set when an SLA model is given
+	// and the migration completed).
+	SLACost *sla.Cost
+
 	// From/To are the move's source and destination hosts; Route the
 	// shared links the flow crossed.
 	From, To string
 	Route    []string
 
-	// EligibleAt is when the move entered the launch queue (the warmup
-	// instant); LaunchedAt when the orchestrator granted it.
+	// EligibleAt is when the move entered the launch queue (Warmup +
+	// i·Stagger); LaunchedAt when the orchestrator first granted it.
 	EligibleAt, LaunchedAt time.Duration
-	// Deferrals counts decision ticks at which the orchestrator
+	// Deferrals counts decision passes at which the orchestrator
 	// considered and declined the launch.
 	Deferrals int
 	// QuietLaunch reports a launch inside the VM's quiet window; Forced a
 	// bounded-wait launch after QuietHorizon overrode the cycle logic.
 	QuietLaunch, Forced bool
 
-	// Outcome is the healing layer's terminal classification; Attempts the
-	// per-launch record (empty when healing is disabled — the legacy
-	// single-attempt fields StartAt/EndAt/Err tell the whole story then).
+	// Outcome is the move's terminal classification; Attempts the
+	// per-launch record, one entry per granted attempt (exactly one under
+	// the one-attempt policy).
 	Outcome  MoveOutcome
 	Attempts []Attempt
 	// Relocations counts destination re-selections; HealBackoff total
@@ -354,6 +402,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 	}
 
 	vms := make([]*workload.VM, n)
+	execs := make([]migration.GuestExecutor, n)
 	profs := make([]workload.Profile, n)
 	planes := make([]*fleetobs.VMPlane, n)
 	for i, mv := range moves {
@@ -387,6 +436,16 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 		}
 		if plane != nil {
 			vm.AttachObs(plane.Tracer, plane.Metrics)
+		}
+		execs[i] = vm.Driver
+		if opts.Attach != nil {
+			e, err := opts.Attach(i, vm)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: attaching to %s: %w", mv.VM.Name, err)
+			}
+			if e != nil {
+				execs[i] = e
+			}
 		}
 		port, err := fabric.Dial(mv.From, mv.To)
 		if err != nil {
@@ -424,8 +483,11 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 			LKM:   guest.LKM,
 			Link:  port,
 			Clock: clock,
-			Dest:  dest,
-			Cfg:   cfg,
+			// Exec stays nil: the engine's advance() falls through to
+			// Clock.Advance, a cooperative sleep, and the VM's own guest
+			// process executes the workload meanwhile.
+			Dest: dest,
+			Cfg:  cfg,
 			GuestFree: func(p mem.PFN) bool {
 				return !guest.Frames.Allocated(p)
 			},
@@ -433,337 +495,286 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 		}
 		m.guest = guest.Frames
 		m.Name = vm.Dom.Name()
-		m.dest = dest
 		vms[i] = vm
 		vmIndex[m.Name] = i
 	}
 
 	// Launch state, mutated only under the cooperative scheduler.
-	granted := make([]bool, n)
 	inflight := make([]bool, n)
 	adm := newAdmissionState(opts.Admission)
+	heal := newHealState(opts.Retry, n, opts.Warmup)
+	res.heal = heal
+	engines := make([]*simclock.Proc, n)
+	// remaining gates the guest processes: they keep the workloads running —
+	// and contending for the fabric's attention via dirtied memory — until
+	// the LAST engine completes, so late migrations see realistic load.
 	remaining := n
-	var heal *healState
-	if opts.Retry.Enabled {
-		heal = newHealState(opts.Retry, n, opts.Warmup)
-		res.heal = heal
-	}
 
 	for i := range vms {
-		vm := vms[i]
+		vm, exec := vms[i], execs[i]
 		q := opts.GuestQuantum
 		sched.Go(vm.Dom.Name()+"/guest", func() {
 			for remaining > 0 {
 				if vm.Dom.Paused() {
+					// Stop-and-copy (or post-copy pause): the guest is
+					// frozen; idle this quantum without executing.
 					clock.Advance(q)
 				} else {
-					vm.Driver.Run(q)
+					exec.Run(q)
 				}
 			}
 		})
 	}
-	// finishMove is the shared success bookkeeping: workload downtime
-	// attribution and the completion-instant verify.
-	finishMove := func(i int, report *migration.Report) {
-		vm, m := vms[i], &res.Moves[i]
-		hist := vm.Heap.GCHistory()
-		for j := len(hist) - 1; j >= 0; j-- {
-			if st := hist[j]; st.Enforced {
-				m.EnforcedGC = st.Duration
-				break
-			}
-		}
-		m.WorkloadDowntime = report.VMDowntime
-		if report.EffectiveMode() == migration.ModeAppAssisted {
-			m.WorkloadDowntime += m.EnforcedGC + report.FinalUpdate
-		}
-		// Verify at the completion instant, while this process still
-		// holds the baton (see fleet.Run).
-		if !opts.SkipVerify && report.PostCopy == nil {
-			m.VerifyErr = migration.VerifyMigration(
-				vm.Dom.Store(), m.src.Dest.Store, report.FinalTransfer,
-				m.guest.Allocated)
-		}
-	}
-
+	// The engine processes: each parks until the orchestrator grants (or
+	// abandons) its move, runs the attempt, and on failure either ends the
+	// move or files it for a relaunch under the retry policy.
+	pol := &opts.Retry
 	for i := range vms {
 		i := i
-		vm := vms[i]
-		m := &res.Moves[i]
-		if opts.Retry.Enabled {
-			plane := planes[i]
-			pol := &opts.Retry
-			sched.Go(vm.Dom.Name()+"/engine", func() {
-				defer func() { remaining-- }()
-				// Per-move jitter PRNG: the whole healing schedule replays
-				// byte-identically at the same policy seed.
-				rng := rand.New(rand.NewSource(pol.Seed + int64(i)))
-				var token *migration.ResumeToken
-				for {
-					sched.Wait(func() bool { return granted[i] || heal.abandon[i] }, opts.DecisionQuantum)
-					if heal.abandon[i] {
-						m.Outcome = OutcomeFailed
-						if m.Err == nil {
-							m.Err = fmt.Errorf("fleet: heal: %s: plan deadline %v exceeded before launch",
-								m.Name, pol.PlanDeadline)
-						} else {
-							m.Err = fmt.Errorf("fleet: heal: %s: deadline exhausted: %w", m.Name, m.Err)
-						}
-						return
-					}
-					heal.attempts[i]++
-					att := Attempt{
-						To: m.To, Route: append([]string(nil), m.Route...),
-						StartAt: clock.Now(), TokenReused: token != nil,
-					}
-					if heal.attempts[i] == 1 {
-						m.StartAt = att.StartAt
-					}
-					var report *migration.Report
-					var err error
-					if token != nil {
-						report, err = m.src.Resume(token)
+		vm, m, plane := vms[i], &res.Moves[i], planes[i]
+		engines[i] = sched.Go(vm.Dom.Name()+"/engine", func() {
+			defer func() { remaining-- }()
+			var rng *rand.Rand
+			var token *migration.ResumeToken
+			for {
+				for !inflight[i] && !heal.abandon[i] {
+					engines[i].Park()
+				}
+				if heal.abandon[i] {
+					m.Outcome = OutcomeFailed
+					if m.Err == nil {
+						m.Err = fmt.Errorf("fleet: heal: %s: plan deadline %v exceeded before launch",
+							m.Name, pol.PlanDeadline)
 					} else {
-						report, err = m.src.Migrate()
+						m.Err = fmt.Errorf("fleet: heal: %s: deadline exhausted: %w", m.Name, m.Err)
 					}
-					att.EndAt = clock.Now()
-					m.EndAt = att.EndAt
-					m.Report = report
-					inflight[i] = false
-					granted[i] = false
-					if opts.Ordering != OrderNaive {
-						adm.release(att.Route, att.To)
-					}
-					if report != nil && report.Resume != nil {
-						att.SavedBytes = report.Resume.SavedBytes
-						att.RefetchPages = report.Resume.RefetchPages
-						m.TokenSavedBytes += report.Resume.SavedBytes
-					}
-					if err == nil {
-						m.Attempts = append(m.Attempts, att)
-						m.Err = nil
-						if werr := vm.Driver.Err; werr != nil {
-							m.Err = fmt.Errorf("fleet: workload failed during migration: %w", werr)
-							m.Outcome = OutcomeFailed
-							return
-						}
-						switch {
-						case m.Relocations > 0:
-							m.Outcome = OutcomeRelocated
-						case heal.attempts[i] > 1:
-							m.Outcome = OutcomeRetried
-						default:
-							m.Outcome = OutcomeCompleted
-						}
-						finishMove(i, report)
+					return
+				}
+				m.Attempts = append(m.Attempts, Attempt{
+					To: m.To, Route: m.Route, StartAt: clock.Now(), TokenReused: token != nil,
+				})
+				att := &m.Attempts[len(m.Attempts)-1]
+				if heal.attempts[i] == 1 {
+					m.StartAt = att.StartAt
+				}
+				var report *migration.Report
+				var err error
+				if token != nil {
+					report, err = m.src.Resume(token)
+				} else {
+					report, err = m.src.Migrate()
+				}
+				att.EndAt = clock.Now()
+				m.EndAt = att.EndAt
+				m.Report = report
+				inflight[i] = false
+				adm.release(att.Route, att.To)
+				if report != nil && report.Resume != nil {
+					att.SavedBytes = report.Resume.SavedBytes
+					att.RefetchPages = report.Resume.RefetchPages
+					m.TokenSavedBytes += report.Resume.SavedBytes
+				}
+				if err == nil {
+					m.Err = nil
+					if werr := vm.Driver.Err; werr != nil {
+						m.Err = fmt.Errorf("fleet: workload failed during migration: %w", werr)
+						m.Outcome = OutcomeFailed
 						return
 					}
-					// Failure: classify, feed the breaker, keep the freshest
-					// token (a discarded image's token is worthless — Resume
-					// degrades on it — but carrying it is harmless).
-					att.Err = err.Error()
-					permanent := errors.Is(err, migration.ErrDestinationLost)
-					att.Transient = !permanent
-					m.Err = err
-					failedHost := m.To
-					if heal.breaker.fail(failedHost, clock.Now()) && coll != nil {
-						coll.FleetMetrics().Counter("fleet.heal.breaker_opens").Inc()
+					switch {
+					case m.Relocations > 0:
+						m.Outcome = OutcomeRelocated
+					case heal.attempts[i] > 1:
+						m.Outcome = OutcomeRetried
+					default:
+						m.Outcome = OutcomeCompleted
 					}
-					if report != nil && report.Recovery != nil && report.Recovery.Token != nil {
-						token = report.Recovery.Token
+					hist := vm.Heap.GCHistory()
+					for j := len(hist) - 1; j >= 0; j-- {
+						if st := hist[j]; st.Enforced {
+							m.EnforcedGC = st.Duration
+							break
+						}
 					}
-					now := clock.Now()
-					if heal.attempts[i] >= pol.MaxAttempts {
-						m.Attempts = append(m.Attempts, att)
+					m.WorkloadDowntime = report.VMDowntime
+					if report.EffectiveMode() == migration.ModeAppAssisted {
+						m.WorkloadDowntime += m.EnforcedGC + report.FinalUpdate
+					}
+					// Verify NOW, while this process still holds the baton:
+					// no other process has run since the engine finished, so
+					// the source store is exactly what stop-and-copy shipped.
+					if !opts.SkipVerify && report.PostCopy == nil {
+						m.VerifyErr = migration.VerifyMigration(
+							vm.Dom.Store(), m.src.Dest.Store, report.FinalTransfer,
+							m.guest.Allocated)
+					}
+					return
+				}
+				// Failure: classify, feed the breaker, keep the freshest
+				// token (a discarded image's token is worthless — Resume
+				// degrades on it — but carrying it is harmless).
+				att.Err = err.Error()
+				permanent := errors.Is(err, migration.ErrDestinationLost)
+				att.Transient = !permanent
+				m.Err = err
+				failedHost := m.To
+				if heal.breaker.fail(failedHost, clock.Now()) && coll != nil {
+					coll.FleetMetrics().Counter("fleet.heal.breaker_opens").Inc()
+				}
+				if report != nil && report.Recovery != nil && report.Recovery.Token != nil {
+					token = report.Recovery.Token
+				}
+				now := clock.Now()
+				if heal.attempts[i] >= pol.MaxAttempts {
+					if pol.MaxAttempts > 1 {
 						m.Err = fmt.Errorf("fleet: heal: %s: %d attempts exhausted: %w",
 							m.Name, heal.attempts[i], err)
+					}
+					m.Outcome = OutcomeFailed
+					return
+				}
+				if now >= heal.planEnd || now-heal.firstLaunch[i] >= pol.MoveDeadline {
+					m.Err = fmt.Errorf("fleet: heal: %s: deadline blown after %d attempts: %w",
+						m.Name, heal.attempts[i], err)
+					m.Outcome = OutcomeFailed
+					return
+				}
+				if permanent && !pol.DisableRelocation {
+					newTo, rerr := heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
+					for rerr != nil {
+						// All candidates breaker-open: wait out the
+						// earliest cooldown if the deadlines allow — a
+						// bounded sleep, not a spin — then re-select.
+						var ho *HostOpenError
+						if !errors.As(rerr, &ho) {
+							break
+						}
+						if ho.Until >= heal.planEnd ||
+							ho.Until-heal.firstLaunch[i] >= pol.MoveDeadline {
+							break
+						}
+						sched.Sleep(ho.Until - clock.Now())
+						newTo, rerr = heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
+					}
+					if rerr != nil {
+						m.Err = fmt.Errorf("fleet: heal: %s: cannot relocate off %s: %w",
+							m.Name, failedHost, rerr)
 						m.Outcome = OutcomeFailed
 						return
 					}
-					if now >= heal.planEnd || now-heal.firstLaunch[i] >= pol.MoveDeadline {
-						m.Attempts = append(m.Attempts, att)
-						m.Err = fmt.Errorf("fleet: heal: %s: deadline blown after %d attempts: %w",
-							m.Name, heal.attempts[i], err)
+					port, derr := fabric.Dial(m.From, newTo)
+					route, rterr := fabric.Route(m.From, newTo)
+					if derr != nil || rterr != nil {
+						m.Err = fmt.Errorf("fleet: heal: %s: rewiring to %s: %w",
+							m.Name, newTo, errors.Join(derr, rterr))
 						m.Outcome = OutcomeFailed
 						return
 					}
-					if permanent && !pol.DisableRelocation {
-						newTo, rerr := heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
-						for rerr != nil {
-							// All candidates breaker-open: wait out the
-							// earliest cooldown if the deadlines allow — a
-							// bounded sleep, not a spin — then re-select.
-							var ho *HostOpenError
-							if !errors.As(rerr, &ho) {
-								break
-							}
-							if ho.Until >= heal.planEnd ||
-								ho.Until-heal.firstLaunch[i] >= pol.MoveDeadline {
-								break
-							}
-							sched.Sleep(ho.Until - clock.Now())
-							newTo, rerr = heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
-						}
-						if rerr != nil {
-							m.Attempts = append(m.Attempts, att)
-							m.Err = fmt.Errorf("fleet: heal: %s: cannot relocate off %s: %w",
-								m.Name, failedHost, rerr)
-							m.Outcome = OutcomeFailed
-							return
-						}
-						port, derr := fabric.Dial(m.From, newTo)
-						route, rterr := fabric.Route(m.From, newTo)
-						if derr != nil || rterr != nil {
-							m.Attempts = append(m.Attempts, att)
-							m.Err = fmt.Errorf("fleet: heal: %s: rewiring to %s: %w",
-								m.Name, newTo, errors.Join(derr, rterr))
-							m.Outcome = OutcomeFailed
-							return
-						}
-						ndest := migration.NewDestination(vm.Dom.NumPages())
-						ndest.SetHostName(newTo)
-						if opts.Faults != nil {
-							ndest.SetFaults(opts.Faults)
-						}
-						if plane != nil {
-							port.SetMetrics(plane.Metrics)
-							ndest.SetMetrics(plane.Metrics)
-						}
-						m.src.Link = port
-						m.src.Dest = ndest
-						m.dest = ndest
-						m.To = newTo
-						m.Route = route
-						m.Relocations++
-						if coll != nil {
-							coll.FleetMetrics().Counter("fleet.heal.relocations").Inc()
-						}
+					ndest := migration.NewDestination(vm.Dom.NumPages())
+					ndest.SetHostName(newTo)
+					if opts.Faults != nil {
+						ndest.SetFaults(opts.Faults)
 					}
-					d := healBackoff(rng, pol, heal.attempts[i])
-					att.Backoff = d
-					m.HealBackoff += d
-					heal.notBefore[i] = clock.Now() + d
-					if until, open := heal.breaker.open(m.To, clock.Now()); open && until > heal.notBefore[i] {
-						heal.notBefore[i] = until
+					if plane != nil {
+						port.SetMetrics(plane.Metrics)
+						ndest.SetMetrics(plane.Metrics)
 					}
-					m.Attempts = append(m.Attempts, att)
-					heal.pending[i] = true
+					m.src.Link = port
+					m.src.Dest = ndest
+					m.To = newTo
+					m.Route = route
+					m.Relocations++
 					if coll != nil {
-						fm := coll.FleetMetrics()
-						fm.Counter("fleet.heal.retries").Inc()
-						fm.Counter("fleet.heal.backoff_ns").AddDuration(d)
+						coll.FleetMetrics().Counter("fleet.heal.relocations").Inc()
 					}
 				}
-			})
-			continue
-		}
-		sched.Go(vm.Dom.Name()+"/engine", func() {
-			defer func() { remaining-- }()
-			sched.Wait(func() bool { return granted[i] }, opts.DecisionQuantum)
-			m.StartAt = clock.Now()
-			report, err := m.src.Migrate()
-			m.EndAt = clock.Now()
-			m.Report = report
-			inflight[i] = false
-			if opts.Ordering != OrderNaive {
-				adm.release(m.Route, m.To)
+				// Per-move jitter PRNG, built at the first backoff: the whole
+				// healing schedule replays byte-identically at the same
+				// policy seed.
+				if rng == nil {
+					rng = rand.New(rand.NewSource(pol.Seed + int64(i)))
+				}
+				d := healBackoff(rng, pol, heal.attempts[i])
+				att.Backoff = d
+				m.HealBackoff += d
+				heal.notBefore[i] = clock.Now() + d
+				if until, open := heal.breaker.open(m.To, clock.Now()); open && until > heal.notBefore[i] {
+					heal.notBefore[i] = until
+				}
+				heal.pending[i] = true
+				if coll != nil {
+					fm := coll.FleetMetrics()
+					fm.Counter("fleet.heal.retries").Inc()
+					fm.Counter("fleet.heal.backoff_ns").AddDuration(d)
+				}
 			}
-			if err != nil {
-				m.Err = err
-				m.Outcome = OutcomeFailed
-				return
-			}
-			if werr := vm.Driver.Err; werr != nil {
-				m.Err = fmt.Errorf("fleet: workload failed during migration: %w", werr)
-				m.Outcome = OutcomeFailed
-				return
-			}
-			m.Outcome = OutcomeCompleted
-			finishMove(i, report)
 		})
 	}
 
-	// The orchestrator process: one decision tick every DecisionQuantum,
-	// granting launches in compiled plan order. With healing enabled it
-	// keeps ticking for the plan's whole life, re-granting retries and
-	// relocations through the same decision logic (admission and cycle
-	// policy hold across relaunches) and abandoning moves whose deadlines
-	// passed; without it, the legacy single-grant loop runs unchanged.
+	// The orchestrator process: one decision pass at every tick (Warmup +
+	// k·DecisionQuantum) and at every eligibility instant in between,
+	// granting pending moves in compiled plan order through the ordering's
+	// decision logic (admission and cycle policy hold across relaunches),
+	// holding back relaunches behind backoff and open breakers, and
+	// abandoning moves whose deadlines passed. A grant or abandonment readies
+	// the parked engine at once. The process ends when no move can ask for
+	// another grant: each one has ended, been abandoned, or holds its last
+	// allowed attempt.
 	sched.Go("orchestrator", func() {
-		if d := opts.Warmup - clock.Now(); d > 0 {
-			sched.Sleep(d)
-		}
 		for i := range res.Moves {
-			res.Moves[i].EligibleAt = clock.Now()
+			res.Moves[i].EligibleAt = opts.Warmup + time.Duration(i)*opts.Stagger
+			heal.pending[i] = true
 		}
-		if heal != nil {
-			for i := range heal.pending {
-				heal.pending[i] = true
-			}
-			for remaining > 0 {
-				now := clock.Now()
-				for i := range res.Moves {
-					if !heal.pending[i] || granted[i] || heal.abandon[i] {
-						continue
-					}
-					m := &res.Moves[i]
-					if now >= heal.planEnd ||
-						(heal.launchedOnce[i] && now-heal.firstLaunch[i] >= opts.Retry.MoveDeadline) {
-						heal.abandon[i] = true
-						heal.pending[i] = false
-						continue
-					}
-					if now < heal.notBefore[i] {
-						continue // backoff/cooldown gate, not a deferral
-					}
-					if _, open := heal.breaker.open(m.To, now); open {
-						continue
-					}
-					if decideLaunch(&opts, res, profs, lastProgress, haveProgress, inflight, adm, i) {
-						if !heal.launchedOnce[i] {
-							m.LaunchedAt = now
-							m.QuietLaunch = profs[i].Cycle.Enabled() && profs[i].Cycle.QuietAt(now)
-							heal.launchedOnce[i] = true
-							heal.firstLaunch[i] = now
-						}
-						granted[i] = true
-						inflight[i] = true
-						if opts.Ordering != OrderNaive {
-							adm.admit(m.Route, m.To)
-						}
-						heal.pending[i] = false
-					} else {
-						m.Deferrals++
-					}
-				}
-				if remaining > 0 {
-					sched.Sleep(opts.DecisionQuantum)
-				}
-			}
-			return
-		}
-		launched := 0
-		for launched < n {
+		tick := opts.Warmup
+		for {
+			wake := tick
 			for i := range res.Moves {
-				if granted[i] {
+				if e := res.Moves[i].EligibleAt; heal.pending[i] && e > clock.Now() && e < wake {
+					wake = e
+				}
+			}
+			if d := wake - clock.Now(); d > 0 {
+				sched.Sleep(d)
+			}
+			now := clock.Now()
+			if now >= tick {
+				tick = now + opts.DecisionQuantum
+			}
+			for i := range res.Moves {
+				m := &res.Moves[i]
+				if !heal.pending[i] || now < m.EligibleAt {
 					continue
 				}
-				m := &res.Moves[i]
-				if decideLaunch(&opts, res, profs, lastProgress, haveProgress, inflight, adm, i) {
-					m.LaunchedAt = clock.Now()
-					m.QuietLaunch = profs[i].Cycle.Enabled() && profs[i].Cycle.QuietAt(clock.Now())
-					granted[i] = true
-					inflight[i] = true
-					if opts.Ordering != OrderNaive {
-						adm.admit(m.Route, m.To)
-					}
-					launched++
-				} else {
-					m.Deferrals++
+				if now >= heal.planEnd ||
+					(heal.attempts[i] > 0 && now-heal.firstLaunch[i] >= pol.MoveDeadline) {
+					heal.abandon[i] = true
+					heal.pending[i] = false
+					sched.Ready(engines[i])
+					continue
 				}
+				if now < heal.notBefore[i] {
+					continue // backoff/cooldown gate, not a deferral
+				}
+				if _, open := heal.breaker.open(m.To, now); open {
+					continue
+				}
+				if !decideLaunch(&opts, res, profs, lastProgress, haveProgress, inflight, adm, i) {
+					m.Deferrals++
+					continue
+				}
+				if heal.attempts[i] == 0 {
+					m.LaunchedAt = now
+					m.QuietLaunch = profs[i].Cycle.Enabled() && profs[i].Cycle.QuietAt(now)
+					heal.firstLaunch[i] = now
+				}
+				heal.attempts[i]++
+				heal.pending[i] = false
+				inflight[i] = true
+				adm.admit(m.Route, m.To)
+				sched.Ready(engines[i])
 			}
-			if launched < n {
-				sched.Sleep(opts.DecisionQuantum)
+			if heal.settled(res.Moves) {
+				return
 			}
 		}
 	})

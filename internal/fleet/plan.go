@@ -81,7 +81,7 @@ func ParseMigrationPlan(text string) (*Plan, error) {
 			d.Kind, d.TargetUtil = DirectiveRebalance, 0.6
 			if len(toks) == 3 && toks[1] == "util" {
 				u, err := strconv.ParseFloat(toks[2], 64)
-				if err != nil || u <= 0 || u > 1 {
+				if err != nil || !(u > 0 && u <= 1) { // NaN fails both
 					return nil, fmt.Errorf("fleet: %q: bad utilization %q", stmt, toks[2])
 				}
 				d.TargetUtil = u

@@ -9,10 +9,10 @@ import (
 // The live progress stream: typed lifecycle events the engine emits as a
 // migration moves through its phases, riding the same event bus as every
 // other obs consumer (obs.KindProgress instants with a Progress Data
-// payload). MigrateMany fans these out per VM and `javmm-migrate -peers
-// -progress` renders them as a fleet status line; because they are ordinary
-// virtual-clock events, the stream is as deterministic as the migration
-// itself.
+// payload). The fleet orchestrator fans these out per VM and
+// `javmm-migrate -peers -progress` renders them as a fleet status line;
+// because they are ordinary virtual-clock events, the stream is as
+// deterministic as the migration itself.
 
 // ProgressPhase names a migration lifecycle phase in the progress stream.
 type ProgressPhase string

@@ -214,16 +214,3 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	s.clock.arm(&p.wake, d)
 	p.Park()
 }
-
-// Wait parks the calling process until pred() holds, re-checking every time
-// it is woken by recheck timers registered at interval. It is a convenience
-// for polling-style conditions; event-driven code should Park and Ready
-// explicitly.
-func (s *Scheduler) Wait(pred func() bool, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	for !pred() {
-		s.Sleep(interval)
-	}
-}

@@ -47,7 +47,7 @@ func (c CycleSpec) Validate() error {
 	if c.QuietStart < 0 || c.QuietStart >= c.Period {
 		return fmt.Errorf("workload: cycle quiet start %v outside [0, period %v)", c.QuietStart, c.Period)
 	}
-	if c.QuietFactor <= 0 || c.QuietFactor > 1 {
+	if !(c.QuietFactor > 0 && c.QuietFactor <= 1) { // NaN fails both
 		return fmt.Errorf("workload: cycle quiet factor %v outside (0, 1]", c.QuietFactor)
 	}
 	return nil

@@ -172,26 +172,20 @@ type (
 	FabricReport = netsim.FabricReport
 	// LinkUsage is one shared link's utilization account.
 	LinkUsage = netsim.LinkUsage
-	// FleetOptions parameterizes MigrateMany.
-	FleetOptions = fleet.Options
-	// FleetResult is a whole fleet run: per-VM outcomes plus the fabric
-	// report and the fleet-level makespan.
-	FleetResult = fleet.Result
-	// FleetVMResult is one VM's outcome within a fleet run.
-	FleetVMResult = fleet.VMResult
 	// FlowUsage is one flow's fair-share accounting (queueing and stall
 	// time) in a FabricReport.
 	FlowUsage = netsim.FlowUsage
 	// Progress is one point of the live migration progress stream: phase,
 	// iteration, cumulative pages/bytes, outstanding work, observed rates
 	// and the clamped ETA. Receive it via MigrateOptions' EngineConfig
-	// OnProgress or FleetOptions.OnProgress.
+	// OnProgress or OrchestratorOptions.OnProgress.
 	Progress = migration.Progress
 	// ProgressPhase names a lifecycle phase in the progress stream.
 	ProgressPhase = migration.ProgressPhase
-	// FleetCollector is the fleet observability plane MigrateMany builds
-	// with FleetOptions.Collect: per-VM trace lanes merged into one Chrome
-	// trace, labeled metrics, captured progress streams, the fabric lane.
+	// FleetCollector is the fleet observability plane Orchestrate builds
+	// with OrchestratorOptions.Collect: per-VM trace lanes merged into one
+	// Chrome trace, labeled metrics, captured progress streams, the fabric
+	// lane.
 	FleetCollector = fleetobs.Collector
 	// VMPlane is one VM's observability surfaces inside a FleetCollector.
 	VMPlane = fleetobs.VMPlane
@@ -410,21 +404,21 @@ const (
 
 // NewScheduler attaches a cooperative process scheduler to the clock; see
 // DESIGN.md §15. Library users composing their own multi-VM scenarios start
-// here — MigrateMany wraps the common case.
+// here — Orchestrate wraps the common case.
 func NewScheduler(c *Clock) *Scheduler { return simclock.NewScheduler(c) }
 
 // NewFabric returns an empty network fabric on the clock; add hosts and
 // shared links, then Dial ports whose transfers contend for bandwidth.
 func NewFabric(c *Clock) *Fabric { return netsim.NewFabric(c) }
 
-// MigrateMany live-migrates N VMs concurrently over one shared network
-// fabric, all on a single deterministic clock: each VM gets a guest process
-// that keeps its workload running and an engine process driving its
-// migration, and every bulk transfer contends for the shared backbone under
-// progressive fair-share arbitration. Per-VM outcomes come back in boot
-// order together with the merged fabric accounting. Same options in, same
-// result out — bit for bit, under the race detector too.
-func MigrateMany(opts FleetOptions) (*FleetResult, error) { return fleet.Run(opts) }
+// Backbone declares the simplest fleet: VM i runs profiles[i] as
+// "<profile>-<i>" on its own source host src<i>, and move i takes it to host
+// dst across one shared link "backbone" (bandwidth bytes/sec, default
+// gigabit-effective). Orchestrate the moves with the default naive ordering
+// and a Stagger to migrate N VMs concurrently over one contended link.
+func Backbone(profiles []Profile, memBytes, bandwidth uint64) (*Cluster, []PlanMove) {
+	return fleet.Backbone(profiles, memBytes, bandwidth)
+}
 
 // Launch orderings for OrchestratorOptions.Ordering, dumbest to smartest.
 const (
@@ -437,16 +431,18 @@ const (
 	OrderCycleAware = fleet.OrderCycleAware
 )
 
-// Orchestrate executes a batch migration plan on a cluster: every guest and
-// engine runs on one deterministic clock and shared fabric, launches follow
-// the chosen ordering under admission control, and the whole plan replays
-// bit-identically at the same seed. See DESIGN.md §17.
+// Orchestrate executes a batch migration plan (or an explicit move list,
+// such as Backbone's) on a cluster: every guest and engine runs on one
+// deterministic clock and shared fabric, each guest process keeps its
+// workload running while engines contend for shared links under
+// progressive fair-share arbitration, launches follow the chosen ordering
+// under admission control, and the whole plan replays bit-identically at
+// the same seed — under the race detector too. See DESIGN.md §17.
 func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) { return fleet.Orchestrate(opts) }
 
-// Move outcomes for a healed plan (PlanMoveResult.Outcome).
+// Move outcomes for an executed plan (PlanMoveResult.Outcome).
 const (
-	// MovePending never reached a terminal state (healing off, or the move
-	// never launched).
+	// MovePending never reached a terminal state (the move never launched).
 	MovePending = fleet.OutcomePending
 	// MoveCompleted succeeded on the first attempt.
 	MoveCompleted = fleet.OutcomeCompleted

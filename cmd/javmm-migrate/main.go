@@ -13,8 +13,9 @@
 //
 // With -plan it becomes the fleet orchestrator front end: -cluster declares
 // hosts/links/VMs, -plan a batch plan ("evacuate host H", "drain rack R",
-// "migrate vm V to H", "rebalance to N%"), -ordering the launch policy
-// (naive, admission, cycle-aware), and admission caps bound concurrency:
+// "migrate vm V to H", "rebalance" or "rebalance util 0.6"), -ordering the
+// launch policy (naive, admission, cycle-aware), and admission caps bound
+// concurrency:
 //
 //	javmm-migrate -cluster 'host a ram 64G; host b ram 64G; vm v1 on a; vm v2 on a' \
 //	    -plan 'evacuate host a' -ordering cycle-aware -max-per-link 2
@@ -68,7 +69,7 @@ func defineFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.Peers, "peers", 1, "migrate N VMs of this workload concurrently over one shared link")
 	fs.DurationVar(&o.Stagger, "stagger", 500*time.Millisecond, "with -peers: delay between consecutive engine starts")
 	fs.StringVar(&o.Cluster, "cluster", "", "declarative cluster topology (host/link/vm statements, ';'-separated) for -plan")
-	fs.StringVar(&o.Plan, "plan", "", "batch migration plan to orchestrate against -cluster: 'evacuate host H', 'drain rack R', 'migrate vm V to H', 'rebalance to N%'")
+	fs.StringVar(&o.Plan, "plan", "", "batch migration plan to orchestrate against -cluster: 'evacuate host H', 'drain rack R', 'migrate vm V to H', 'migrate vm V', 'rebalance', 'rebalance util 0.6'")
 	fs.StringVar(&o.Ordering, "ordering", "cycle-aware", "with -plan: launch policy (naive, admission or cycle-aware)")
 	fs.IntVar(&o.MaxPerLink, "max-per-link", 1, "with -plan: admission cap on concurrent migrations per shared link (0 = unbounded)")
 	fs.IntVar(&o.MaxPerHost, "max-per-host", 1, "with -plan: admission cap on concurrent inbound migrations per destination host (0 = unbounded)")

@@ -389,6 +389,24 @@ func TestRunPlanRejectsIncompleteSpec(t *testing.T) {
 	}
 }
 
+// Every directive the -plan help quotes must parse as written: the help is
+// the grammar's reference on the command line.
+func TestPlanUsageDirectivesParse(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("javmm-migrate", flag.ContinueOnError)
+	defineFlags(fs, &o)
+	usage := fs.Lookup("plan").Usage
+	quoted := strings.Split(usage, "'")
+	if len(quoted) < 3 || len(quoted)%2 != 1 {
+		t.Fatalf("-plan usage quotes no directives, or an odd number of quotes: %q", usage)
+	}
+	for i := 1; i < len(quoted); i += 2 {
+		if _, err := javmm.ParseMigrationPlan(quoted[i]); err != nil {
+			t.Errorf("-plan usage directive %q does not parse: %v", quoted[i], err)
+		}
+	}
+}
+
 func TestRunPlanRejectsBadOrdering(t *testing.T) {
 	o := base()
 	o.Cluster = planCluster

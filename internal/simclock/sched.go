@@ -1,23 +1,29 @@
+//go:build go1.23
+
 package simclock
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"time"
 )
 
 // Scheduler runs cooperative processes against one Clock, deterministically.
 //
-// Exactly one process executes at any moment; control passes between the
-// scheduler and a process over unbuffered channels, so every handoff is a
-// happens-before edge and a scheduled run is race-free by construction. A
-// process that calls Clock.Advance (directly or through any code written
-// against the caller-driven contract) parks for that much virtual time while
-// other processes and timers run. Wakeups ride the clock's existing timer
-// queue, so everything that happens at one virtual instant — timer callbacks
-// and process resumptions alike — fires in registration (seq) order. The
-// result: a same-seed run is byte-identical regardless of goroutine
-// interleaving, because goroutines never actually interleave.
+// Exactly one process executes at any moment. Each process is an iter.Pull
+// coroutine: the scheduler resumes it with the pull's next and the process
+// parks by calling the sequence's yield, so the thread passes straight from
+// one goroutine to the other without the Go run queue. iter.Pull records a
+// happens-before edge at every switch, so a scheduled run is race-free by
+// construction. A process that calls Clock.Advance (directly or through any
+// code written against the caller-driven contract) parks for that much
+// virtual time while other processes and timers run. Wakeups ride the
+// clock's existing timer queue, so everything that happens at one virtual
+// instant — timer callbacks and process resumptions alike — fires in
+// registration (seq) order. The result: a same-seed run is byte-identical
+// regardless of goroutine interleaving, because goroutines never actually
+// interleave.
 //
 // The zero Scheduler is not usable; build one with NewScheduler, spawn
 // processes with Go, then call Run to drive everything to completion.
@@ -50,14 +56,14 @@ func (s *Scheduler) Clock() *Clock { return s.clock }
 // with the scheduler (or no Run is in progress).
 func (s *Scheduler) Active() *Proc { return s.active }
 
-// Proc is one cooperative process. It runs on its own goroutine but only
-// while it holds the scheduler's baton; between Park and Unpark (or during a
-// Sleep) the goroutine is blocked on a channel and consumes no CPU.
+// Proc is one cooperative process. It runs on its own coroutine goroutine but
+// only while it holds the scheduler's baton; between Park and Ready (or during
+// a Sleep) the coroutine is suspended and consumes no CPU.
 type Proc struct {
 	name   string
 	sched  *Scheduler
-	resume chan struct{} // scheduler -> process: run
-	yield  chan struct{} // process -> scheduler: parked or finished
+	next   func() (struct{}, bool) // scheduler -> process: run until it parks or finishes
+	yield  func(struct{}) bool     // process -> scheduler: park
 	done   bool
 	queued bool // in runq (guards against double-Ready)
 	pan    any  // panic captured from the process body
@@ -75,26 +81,28 @@ func (p *Proc) Done() bool { return p.done }
 // Go spawns fn as a new process. The process is runnable immediately but does
 // not execute until Run (or the next scheduling point) hands it the baton;
 // same-instant processes start in Go-call order.
+//
+// A panic in fn surfaces from Run, annotated with the process name. A
+// runtime.Goexit in fn (t.FailNow, say) does not just end the process: it
+// propagates through the coroutine switch and ends the goroutine that called
+// Run, after running that goroutine's deferred calls.
 func (s *Scheduler) Go(name string, fn func()) *Proc {
-	p := &Proc{
-		name:   name,
-		sched:  s,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{name: name, sched: s}
 	p.wake = Timer{fn: func(time.Duration) { s.ready(p) }, fired: true, clock: s.clock}
 	s.procs = append(s.procs, p)
 	s.ready(p)
-	go func() {
-		<-p.resume
+	// Run resumes every process until its body returns, which ends the
+	// coroutine, so the pull's stop is not needed. A Run that panics leaves
+	// its parked processes suspended for good.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.pan = recover()
 			p.done = true
 			s.active = nil
-			p.yield <- struct{}{}
 		}()
 		fn()
-	}()
+	})
 	return p
 }
 
@@ -135,11 +143,10 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// step hands the baton to p and blocks until p parks or finishes.
+// step hands the baton to p and returns when p parks or finishes.
 func (s *Scheduler) step(p *Proc) {
 	s.active = p
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	if p.pan != nil {
 		panic(fmt.Sprintf("simclock: process %q panicked: %v", p.name, p.pan))
 	}
@@ -190,8 +197,7 @@ func (p *Proc) Park() {
 		panic(fmt.Sprintf("simclock: Park of %q from outside the process", p.name))
 	}
 	s.active = nil
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Sleep parks the calling process for d of virtual time. The wakeup is a

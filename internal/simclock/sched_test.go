@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +208,35 @@ func TestSchedulerPropagatesProcPanic(t *testing.T) {
 	s.Run()
 }
 
+// A runtime.Goexit inside a process (t.FailNow, say) crosses the coroutine
+// switch: it ends the goroutine that called Run, running that goroutine's
+// deferred calls, rather than quietly finishing the one process while Run
+// carries on.
+func TestSchedulerGoexitEndsRunCaller(t *testing.T) {
+	var deferred, afterRun bool
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer func() { deferred = true }()
+		c := New()
+		s := NewScheduler(c)
+		s.Go("quitter", func() {
+			c.Advance(time.Millisecond)
+			runtime.Goexit()
+		})
+		s.Go("bystander", func() { c.Advance(2 * time.Millisecond) })
+		s.Run()
+		afterRun = true
+	}()
+	<-exited
+	if !deferred {
+		t.Fatal("the Run caller's deferred calls did not run")
+	}
+	if afterRun {
+		t.Fatal("code after Run ran: the Goexit ended only the process")
+	}
+}
+
 // A steady-state Sleep re-arms the process's own wake timer and pops the run
 // queue in place: no allocation per sleep, with a second process keeping the
 // queue handoff busy.
@@ -227,4 +257,24 @@ func TestSleepSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Sleep: %v allocs per call, want 0", allocs)
 	}
+}
+
+// BenchmarkSchedulerLockstep measures the process switch: four processes each
+// sleep 1 ms in lockstep, the pattern of a fleet's guest ticks. One op is one
+// Sleep — a park, a timer firing and a resume.
+func BenchmarkSchedulerLockstep(b *testing.B) {
+	const procs = 4
+	c := New()
+	s := NewScheduler(c)
+	for i := 0; i < procs; i++ {
+		sleeps := (b.N + procs - 1 - i) / procs // the four shares sum to b.N
+		s.Go(fmt.Sprintf("p%d", i), func() {
+			for j := 0; j < sleeps; j++ {
+				s.Sleep(time.Millisecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
 }

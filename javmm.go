@@ -221,7 +221,7 @@ type (
 	// CycleSpec declares a workload's periodic quiet window.
 	CycleSpec = workload.CycleSpec
 	// MigrationPlan is a compiled-on-demand batch plan ("evacuate host H",
-	// "drain rack R", "migrate vm V to H", "rebalance to N%").
+	// "drain rack R", "migrate vm V [to H]", "rebalance [util 0.6]").
 	MigrationPlan = fleet.Plan
 	// PlanMove is one VM relocation a plan compiles to.
 	PlanMove = fleet.Move
@@ -475,9 +475,9 @@ func ReadHealingSummary(path string) (*HealingSummary, error) {
 func ParseCluster(text string) (*Cluster, error) { return fleet.ParseCluster(text) }
 
 // ParseMigrationPlan parses the batch-plan grammar, one directive per
-// statement: "evacuate host H", "drain rack R", "migrate vm V to H",
-// "rebalance to N%". Directives compile against a Cluster at Orchestrate
-// time.
+// statement: "evacuate host H", "drain rack R", "migrate vm V [to H]",
+// "rebalance [util 0.6]" (the utilization ceiling is a fraction in (0, 1],
+// default 0.6). Directives compile against a Cluster at Orchestrate time.
 func ParseMigrationPlan(text string) (*MigrationPlan, error) { return fleet.ParseMigrationPlan(text) }
 
 // ParseOrdering parses an ordering name: "naive", "admission" or

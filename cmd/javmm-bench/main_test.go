@@ -177,3 +177,28 @@ func TestCompareArgValidation(t *testing.T) {
 		t.Error("one positional arg accepted by -compare")
 	}
 }
+
+// allocSink keeps the objects TestReadAllocsCountsEverySmallObject allocates
+// reachable, so escape analysis cannot move them to the stack.
+var allocSink []*[16]byte
+
+// Every small object allocated between two readings is counted, at once: a
+// counter that books objects only when a P's cached span is flushed would
+// read a fraction of them.
+func TestReadAllocsCountsEverySmallObject(t *testing.T) {
+	const n = 1000
+	allocSink = make([]*[16]byte, n)
+	before := readAllocs()
+	for i := range allocSink {
+		allocSink[i] = new([16]byte)
+	}
+	got := readAllocs().sub(before)
+	allocSink = nil
+	const slack = 4
+	if got.objects < n || got.objects > n+slack {
+		t.Fatalf("counted %d objects for %d allocations (allowed +%d)", got.objects, n, slack)
+	}
+	if got.bytes < n*16 {
+		t.Fatalf("counted %d bytes for %d 16-byte objects", got.bytes, n)
+	}
+}

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"runtime/metrics"
+	"runtime"
 	"sort"
 	"time"
 
@@ -664,25 +664,23 @@ func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) (*javm
 }
 
 // allocDelta is a heap-allocation reading (monotonic totals or a difference
-// of two readings) from runtime/metrics.
+// of two readings) from runtime.MemStats.
 type allocDelta struct {
 	bytes   int64
 	objects int64
 }
 
-var allocSamples = []metrics.Sample{
-	{Name: "/gc/heap/allocs:bytes"},
-	{Name: "/gc/heap/allocs:objects"},
-}
-
-// readAllocs samples the monotonic heap-allocation counters. These only grow,
-// so a before/after difference is valid across intervening GCs.
+// readAllocs reads the monotonic heap-allocation totals. ReadMemStats stops
+// the world and flushes every P's cached span first, so the count is exact:
+// each small object is booked when it is allocated, not when its span is
+// flushed later (the runtime/metrics counters lag by up to a span per P).
+// The totals only grow, so a before/after difference is valid across
+// intervening GCs. The stop-the-world costs microseconds; callers read
+// outside their timed region.
 func readAllocs() allocDelta {
-	metrics.Read(allocSamples)
-	return allocDelta{
-		bytes:   int64(allocSamples[0].Value.Uint64()),
-		objects: int64(allocSamples[1].Value.Uint64()),
-	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return allocDelta{bytes: int64(ms.TotalAlloc), objects: int64(ms.Mallocs)}
 }
 
 func (a allocDelta) sub(b allocDelta) allocDelta {

@@ -279,6 +279,25 @@ func BenchmarkEngine_XenDerby(b *testing.B) {
 	}
 }
 
+// BenchmarkEngine_PostCopyDerby measures one full post-copy migration, the
+// lazy engine whose demand fetches the guest's write runs drive.
+func BenchmarkEngine_PostCopyDerby(b *testing.B) {
+	prof, err := workload.Lookup("derby")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		r, err := experiments.RunMigration(experiments.RunOpts{
+			Profile: prof, Mode: migration.ModePostCopy, Seed: int64(i), Warmup: 300 * time.Second,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(r.Report.TotalTime.Seconds(), "virtual-s")
+		b.ReportMetric(float64(r.Report.PostCopy.Faults), "faults")
+	}
+}
+
 // BenchmarkEngine_JavmmDerby measures one full app-assisted migration.
 func BenchmarkEngine_JavmmDerby(b *testing.B) {
 	prof, err := workload.Lookup("derby")

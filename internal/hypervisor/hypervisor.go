@@ -48,7 +48,8 @@ type Domain struct {
 	writes      uint64 // guest page writes observed
 	dirtySetOps uint64 // writes that newly dirtied a page this round
 	vcpus       int
-	pageFault   func(p mem.PFN) // optional pre-write fault hook (post-copy)
+	pageFault   func(run []mem.PFN) // optional pre-write fault hook (post-copy)
+	one         [1]mem.PFN          // WritePage's one-page run for the hook
 }
 
 // NewDomain creates a domain with the given memory, backed by store. The
@@ -88,12 +89,14 @@ func (d *Domain) Clock() *simclock.Clock { return d.clock }
 // WritePage records a guest store to page p: the page content changes and,
 // if log-dirty mode is on, the dirty bit is set. Writing while paused panics:
 // a paused domain's vCPUs cannot execute, so such a write is a simulator bug.
+// An installed fault hook sees p as a one-page run before the write.
 func (d *Domain) WritePage(p mem.PFN) {
 	if d.paused {
 		panic(fmt.Sprintf("hypervisor: domain %q wrote page %d while paused", d.name, p))
 	}
 	if d.pageFault != nil {
-		d.pageFault(p)
+		d.one[0] = p
+		d.pageFault(d.one[:])
 	}
 	d.store.Write(p)
 	d.writes++
@@ -108,18 +111,21 @@ func (d *Domain) WritePage(p mem.PFN) {
 
 // WritePages records one guest store to each page of run, in order, and
 // leaves exactly the state and counters that one WritePage per page leaves.
-// A paused domain or an installed fault hook takes the per-page path: the
-// first must panic before any page changes, the second must see each page
-// before its write. Otherwise the version store, the epoch bitmap and the
-// log-dirty bitmap are updated in separate tight loops. The three are
-// independent, so the order of their updates cannot show, and independent
-// updates within each loop overlap their cache misses.
+// A paused domain panics before any page changes. An installed fault hook
+// is called once with the whole run, before any page of it is written.
+// Then the version store, the epoch bitmap and the log-dirty bitmap are
+// updated in separate tight loops. The three are independent, so the order
+// of their updates cannot show, and independent updates within each loop
+// overlap their cache misses. An empty run does nothing.
 func (d *Domain) WritePages(run []mem.PFN) {
-	if d.paused || d.pageFault != nil {
-		for _, p := range run {
-			d.WritePage(p)
-		}
+	if len(run) == 0 {
 		return
+	}
+	if d.paused {
+		panic(fmt.Sprintf("hypervisor: domain %q wrote page %d while paused", d.name, run[0]))
+	}
+	if d.pageFault != nil {
+		d.pageFault(run)
 	}
 	d.store.WritePages(run)
 	d.writes += uint64(len(run))
@@ -131,10 +137,16 @@ func (d *Domain) WritePages(run []mem.PFN) {
 	}
 }
 
-// SetPageFaultHook installs (or clears, with nil) a hook invoked before
-// every guest page write. Post-copy migration uses it to intercept accesses
-// to pages that have not yet arrived at the destination.
-func (d *Domain) SetPageFaultHook(fn func(p mem.PFN)) { d.pageFault = fn }
+// SetPageFaultHook installs (or clears, with nil) a hook the domain calls
+// once per guest write run, before any page of the run is written:
+// WritePages passes its run, WritePage a one-page run. The run is in write
+// order and may repeat a page; it belongs to the caller and is valid only
+// during the call, so the hook must neither keep nor modify it. Since
+// nothing is written until the hook returns, it sees every page of the run
+// at its pre-write content. Post-copy migration uses it to demand-fetch the
+// pages of a run that have not yet arrived at the destination before the
+// guest touches them.
+func (d *Domain) SetPageFaultHook(fn func(run []mem.PFN)) { d.pageFault = fn }
 
 // Writes returns the total guest page writes observed.
 func (d *Domain) Writes() uint64 { return d.writes }

@@ -187,17 +187,17 @@ func TestDirtyEventsCountOncePerPagePerRound(t *testing.T) {
 
 func TestPageFaultHookFiresBeforeWrite(t *testing.T) {
 	d := newTestDomain(8)
-	var faults []mem.PFN
-	d.SetPageFaultHook(func(p mem.PFN) {
-		faults = append(faults, p)
+	var faults [][]mem.PFN
+	d.SetPageFaultHook(func(run []mem.PFN) {
+		faults = append(faults, append([]mem.PFN(nil), run...))
 		// The hook observes the page BEFORE the write applies.
-		if d.Store().Version(p) != 0 {
+		if d.Store().Version(run[0]) != 0 {
 			t.Fatal("fault hook ran after the write")
 		}
 	})
 	d.WritePage(3)
-	if len(faults) != 1 || faults[0] != 3 {
-		t.Fatalf("faults = %v", faults)
+	if want := [][]mem.PFN{{3}}; !reflect.DeepEqual(faults, want) {
+		t.Fatalf("hook saw runs %v, want the one-page run %v", faults, want)
 	}
 	d.SetPageFaultHook(nil)
 	d.WritePage(4)
@@ -329,28 +329,36 @@ func TestWritePagesMatchesWritePage(t *testing.T) {
 	}
 }
 
-func TestWritePagesRunsFaultHookPerPageInOrder(t *testing.T) {
+// The hook sees the whole run once, in write order, before any page of it
+// is written; the writes then leave the state per-page writes leave.
+func TestWritePagesRunsFaultHookOncePerRun(t *testing.T) {
 	d := newTestDomain(64)
 	if err := d.EnableLogDirty(); err != nil {
 		t.Fatal(err)
 	}
 	d.WritePage(9)
 	run := []mem.PFN{7, 9, 3, 40}
-	var seen []mem.PFN
+	var seen [][]mem.PFN
 	var before []uint64
-	d.SetPageFaultHook(func(p mem.PFN) {
-		seen = append(seen, p)
-		before = append(before, d.Store().Version(p))
+	d.SetPageFaultHook(func(r []mem.PFN) {
+		seen = append(seen, append([]mem.PFN(nil), r...))
+		for _, p := range r {
+			before = append(before, d.Store().Version(p))
+		}
 	})
 	d.WritePages(run)
-	if !reflect.DeepEqual(seen, run) {
-		t.Fatalf("hook saw %v, want run order %v", seen, run)
+	if want := [][]mem.PFN{run}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("hook saw runs %v, want the run %v once", seen, want)
 	}
 	if want := []uint64{0, 1, 0, 0}; !reflect.DeepEqual(before, want) {
 		t.Fatalf("hook saw versions %v, want pre-write versions %v", before, want)
 	}
 	if d.Writes() != 5 || d.DirtyEvents() != 4 {
 		t.Fatalf("Writes = %d, DirtyEvents = %d, want 5 and 4", d.Writes(), d.DirtyEvents())
+	}
+	d.WritePages(nil)
+	if len(seen) != 1 {
+		t.Fatalf("an empty run called the hook: %v", seen)
 	}
 }
 

@@ -138,6 +138,14 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 			obs.Uint64("pfn", uint64(p)))
 		return errPageCorrupt
 	}
+	s.countRepair(p)
+	return nil
+}
+
+// countRepair counts a verified delivery of p as a repair when one was
+// pending.
+func (s *Source) countRepair(p mem.PFN) {
+	ig := s.integ
 	if ig.pendingRepair.Test(p) {
 		ig.pendingRepair.Clear(p)
 		ig.stats.Repairs++
@@ -145,7 +153,27 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 			m.Counter("migration.integrity_repairs").Inc()
 		}
 	}
-	return nil
+}
+
+// verifyRun is verifyFetch for the pages of a batched demand fetch, in one
+// loop: it checks pfns in order and returns how many match before the
+// first mismatch, which it leaves for verifyFetch to record. Each page it
+// passes counts as audited, and as repaired if a repair was pending.
+func (s *Source) verifyRun(pfns []mem.PFN) int {
+	ig := s.integ
+	if ig == nil || s.Cfg.Integrity.Disable || len(pfns) == 0 {
+		return len(pfns)
+	}
+	s.Cfg.Perf.Enter(perf.StageDigestAudit)
+	defer s.Cfg.Perf.Exit()
+	for i, p := range pfns {
+		if got, ok := ig.dest.PageDigestAt(p); !ok || got != ig.expect[p] {
+			return i
+		}
+		ig.stats.PagesAudited++
+		s.countRepair(p)
+	}
+	return len(pfns)
 }
 
 // lazyDeliver pushes page p's current content into the sink through the

@@ -97,6 +97,8 @@ type Source struct {
 	chunk     chunk
 	exportBuf []byte
 	one       [1]mem.PFN
+	// lazy is the lazy engine's demand-fetch state, buffers included.
+	lazy lazyFetch
 }
 
 // chunk is the run of pages the pre-copy engine sends between two guest

@@ -24,6 +24,9 @@ type scribbler struct {
 	throttle    float64
 	cursor      mem.VA
 	carry       float64
+	// runs writes each step's pages as page-table runs (WriteRange), the
+	// way the JVM's heap stores reach the domain, instead of page by page.
+	runs bool
 
 	// When acting as an app: skip-over area and prepare behaviour.
 	sock       *guestos.Socket
@@ -96,9 +99,16 @@ func (s *scribbler) Run(d time.Duration) {
 		writes := s.pagesPerSec*s.throttle*step.Seconds() + s.carry
 		n := int(writes)
 		s.carry = writes - float64(n)
-		for i := 0; i < n; i++ {
-			s.proc.Write(s.cursor)
-			s.cursor += mem.PageSize
+		for n > 0 {
+			k := 1
+			if s.runs {
+				k = int(min(uint64(n), uint64(s.hot.End-s.cursor)/mem.PageSize))
+				s.proc.WriteRange(mem.VARange{Start: s.cursor, End: s.cursor + mem.VA(k)*mem.PageSize})
+			} else {
+				s.proc.Write(s.cursor)
+			}
+			n -= k
+			s.cursor += mem.VA(k) * mem.PageSize
 			if s.cursor >= s.hot.End {
 				s.cursor = s.hot.Start
 			}

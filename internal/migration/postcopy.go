@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"javmm/internal/faults"
+	"javmm/internal/hypervisor"
 	"javmm/internal/mem"
 	"javmm/internal/obs"
 	"javmm/internal/obs/ledger"
@@ -194,57 +195,11 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 	// Switchover marker: the VM now runs at the destination with `missing`
 	// pages still to fetch — the quantity the lazy phase's ETA drains.
 	s.emitProgress(ProgressPostCopy, iter+1, missing, 0, 0)
-	var stallDebt time.Duration
 	wire := s.Dom.Store().WireSize()
 	lazyIter := iter + 1 // the ledger iteration index of the whole lazy phase
-
-	fetch := func(p mem.PFN) (time.Duration, error) {
-		s.Cfg.Perf.Enter(perf.StageLazyFetch)
-		defer s.Cfg.Perf.Exit()
-		var d, backoffStall time.Duration
-		op := func() error {
-			if s.Cfg.Faults.Fire(faults.SitePostCopyFetch) {
-				return ErrFetchFaulted
-			}
-			var err error
-			d, err = s.Link.SendErr(wire)
-			if err != nil {
-				return err
-			}
-			d += s.Link.RoundTrip()
-			return s.lazyDeliver(p)
-		}
-		if err := op(); err != nil {
-			// The faulting vCPU is frozen: retry backoffs accumulate as
-			// stall debt rather than advancing the clock (which would run
-			// the guest and could recurse into this very hook).
-			err = s.retryAfter("demand-fetch", err,
-				func(b time.Duration) { backoffStall += b }, op)
-			if err != nil {
-				return 0, err
-			}
-		}
-		resident.Set(p)
-		return d + backoffStall, nil
-	}
-
-	s.Dom.SetPageFaultHook(func(p mem.PFN) {
-		if s.aborted || resident.Test(p) {
-			return
-		}
-		// The faulting vCPU stalls for a round trip plus the transfer
-		// (plus any retry backoff); the debt is charged to guest time
-		// between prefetch chunks.
-		d, err := fetch(p)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		pc.Faults++
-		stallDebt += d
-		s.Cfg.Ledger.PageSent(p, lazyIter, wire, s.sendClassFor(p, ledger.ClassFault))
-		s.Cfg.Metrics.Histogram("migration.fault_stall_ns").Observe(float64(d))
-	})
+	lf := &s.lazy
+	lf.begin(s.Dom, resident, pc, lazyIter)
+	s.Dom.SetPageFaultHook(s.faultRun)
 	defer s.Dom.SetPageFaultHook(nil)
 
 	// Background pre-paging: push non-resident pages in ascending order,
@@ -291,10 +246,10 @@ prefetch:
 					s.advance(d)
 				}
 				// ...and pays off any fault stalls it accumulated.
-				if stallDebt > 0 {
-					s.Clock.Advance(stallDebt)
-					pc.FaultStall += stallDebt
-					stallDebt = 0
+				if lf.stallDebt > 0 {
+					s.Clock.Advance(lf.stallDebt)
+					pc.FaultStall += lf.stallDebt
+					lf.stallDebt = 0
 				}
 			}
 			cursor++
@@ -337,4 +292,217 @@ prefetch:
 	s.report.TotalTime = s.Clock.Now() - start
 	s.emitProgress(ProgressDone, iter+1, 0, 0, 0)
 	return s.report, nil
+}
+
+// lazyRunPages is the longest run the guest write path hands the domain:
+// one leaf page table's worth of pages. The lazy engine sizes its
+// demand-fetch buffers for it; a longer run grows them.
+const lazyRunPages = 512
+
+// lazyFetch is the demand-fetch state of a lazy run after switchover: what
+// the destination holds, the account faults are booked into, the guest
+// stall not yet charged to guest time, and the buffers that carry the
+// faulting pages of one guest write run. The buffers live on the Source,
+// so they are sized once and reused by every run and migration after.
+type lazyFetch struct {
+	resident  *mem.Bitmap
+	pc        *PostCopyStats
+	stallDebt time.Duration
+	wire      uint64 // every page moves raw
+	iter      int    // the ledger iteration index of the whole lazy phase
+
+	pfns     []mem.PFN       // the run's non-resident pages, each once
+	stalls   []time.Duration // each page's send and round trip
+	payloads []byte          // their exports, stride bytes each
+	stride   int
+}
+
+// begin starts the demand-fetch phase of a run and sizes the buffers. It
+// allocates only when the buffers from an earlier run are too small.
+func (lf *lazyFetch) begin(dom *hypervisor.Domain, resident *mem.Bitmap, pc *PostCopyStats, iter int) {
+	store := dom.Store()
+	lf.resident, lf.pc, lf.stallDebt = resident, pc, 0
+	lf.wire, lf.iter = store.WireSize(), iter
+	n := int(min(lazyRunPages, dom.NumPages()))
+	if n == 0 {
+		return
+	}
+	lf.payloads = store.AppendExport(lf.payloads[:0], 0)
+	lf.stride = len(lf.payloads)
+	if cap(lf.pfns) < n {
+		lf.pfns = make([]mem.PFN, 0, n)
+		lf.stalls = make([]time.Duration, 0, n)
+	}
+	if cap(lf.payloads) < n*lf.stride {
+		lf.payloads = make([]byte, 0, n*lf.stride)
+	}
+}
+
+// faultRun is the page-fault hook of the lazy phase. It runs once per guest
+// write run, before any page of it is written, and demand-fetches the run's
+// pages that have not arrived yet: the faulting vCPU stalls for each page's
+// round trip and transfer (plus any retry backoff), and the debt is charged
+// to guest time between prefetch pushes. The clock never moves in here:
+// advancing it would run the guest and could recurse into this very hook.
+//
+// While an injector is armed, the pages are fetched one at a time, so every
+// fault site fires in the order one-page fetches fire it. Otherwise the
+// run's faulting pages are fetched together by fetchRun.
+func (s *Source) faultRun(run []mem.PFN) {
+	lf := &s.lazy
+	if s.aborted {
+		return
+	}
+	if s.Cfg.Faults.Armed() {
+		for _, p := range run {
+			if lf.resident.Test(p) {
+				continue
+			}
+			s.Cfg.Perf.Enter(perf.StageLazyFetch)
+			d, err := s.fetchAttempt(p)
+			if err != nil {
+				d, err = s.refetch(p, err)
+			}
+			s.Cfg.Perf.Exit()
+			if err != nil {
+				s.fail(err)
+				return
+			}
+			lf.resident.Set(p)
+			s.bookFault(p, d)
+		}
+		return
+	}
+	// Marking the pages resident as they are gathered fetches a page the
+	// run repeats once; the ones not booked are unmarked on failure.
+	pfns := lf.pfns[:0]
+	for _, p := range run {
+		if !lf.resident.Test(p) {
+			lf.resident.Set(p)
+			pfns = append(pfns, p)
+		}
+	}
+	lf.pfns = pfns
+	if len(pfns) == 0 {
+		return
+	}
+	s.Cfg.Perf.Enter(perf.StageLazyFetch)
+	booked, err := s.fetchRun()
+	s.Cfg.Perf.Exit()
+	if err != nil {
+		lf.resident.ClearEach(pfns[booked:])
+		s.fail(err)
+	}
+}
+
+// fetchRun demand-fetches lf.pfns, the faulting pages of one write run, in
+// one pass of each kind: a send and round trip per page, one sink call for
+// the pages sent, one recorded expectation per landed page and one
+// verification loop. It then books the faults page by page in run order.
+// A page whose send, receive or digest check fails continues alone in the
+// per-page retry path from that failure, as a one-page fetch would, and the
+// pass resumes after it without sending or receiving a page twice. It
+// returns how many pages it booked and the error of a page that failed for
+// good; the pages from that one on were not fetched.
+func (s *Source) fetchRun() (int, error) {
+	lf := &s.lazy
+	pfns := lf.pfns
+	n := len(pfns)
+	if cap(lf.stalls) < n {
+		lf.stalls = make([]time.Duration, n)
+	}
+	stalls := lf.stalls[:n]
+	store := s.Dom.Store()
+	payloads := lf.payloads[:0]
+	for _, p := range pfns {
+		payloads = store.AppendExport(payloads, p)
+	}
+	lf.payloads = payloads
+	stride := lf.stride
+
+	// Pages [0, booked) are booked, [booked, landed) landed and await
+	// verification, [landed, sent) are on the wire. A failed send or
+	// receive stops its stage at the failing page until that page's retry
+	// has run.
+	booked, landed, sent := 0, 0, 0
+	var sendErr, recvErr error
+	for {
+		for ; sendErr == nil && sent < n; sent++ {
+			d, err := s.Link.SendErr(lf.wire)
+			if err != nil {
+				sendErr = err
+				break
+			}
+			stalls[sent] = d + s.Link.RoundTrip()
+		}
+		if recvErr == nil && landed < sent {
+			var k int
+			k, recvErr = s.sink.ReceivePages(pfns[landed:sent], payloads[landed*stride:sent*stride])
+			s.recordExpectedRun(pfns[landed:landed+k], payloads[landed*stride:], stride)
+			landed += k
+		}
+		for v := booked + s.verifyRun(pfns[booked:landed]); booked < v; booked++ {
+			s.bookFault(pfns[booked], stalls[booked])
+		}
+		if booked == n {
+			return n, nil
+		}
+		var err error
+		switch p := pfns[booked]; {
+		case booked < landed:
+			err = s.verifyFetch(p) // records the mismatch verifyRun stopped at
+		case booked < sent:
+			err, recvErr = recvErr, nil
+		default:
+			err, sendErr = sendErr, nil
+		}
+		d, err := s.refetch(pfns[booked], err)
+		if err != nil {
+			return booked, err
+		}
+		s.bookFault(pfns[booked], d)
+		booked++
+		landed = max(landed, booked)
+		sent = max(sent, booked)
+	}
+}
+
+// fetchAttempt makes one demand-fetch attempt of page p: the fetch fault
+// site, the page on the wire plus a round trip, and the verified delivery.
+// It returns the attempt's stall.
+func (s *Source) fetchAttempt(p mem.PFN) (time.Duration, error) {
+	if s.Cfg.Faults.Fire(faults.SitePostCopyFetch) {
+		return 0, ErrFetchFaulted
+	}
+	d, err := s.Link.SendErr(s.lazy.wire)
+	if err != nil {
+		return 0, err
+	}
+	return d + s.Link.RoundTrip(), s.lazyDeliver(p)
+}
+
+// refetch continues the demand fetch of page p after an attempt failed with
+// err0, retrying with backoff. The faulting vCPU is frozen, so backoffs
+// accumulate as stall rather than advancing the clock. The stall is the
+// successful attempt's plus every backoff.
+func (s *Source) refetch(p mem.PFN, err0 error) (time.Duration, error) {
+	var d, backoff time.Duration
+	op := func() error {
+		var err error
+		d, err = s.fetchAttempt(p)
+		return err
+	}
+	err := s.retryAfter("demand-fetch", err0, func(b time.Duration) { backoff += b }, op)
+	return d + backoff, err
+}
+
+// bookFault accounts a completed demand fetch of p that stalled the guest
+// for d: the fault count, the stall debt, the ledger and the stall
+// histogram.
+func (s *Source) bookFault(p mem.PFN, d time.Duration) {
+	lf := &s.lazy
+	lf.pc.Faults++
+	lf.stallDebt += d
+	s.Cfg.Ledger.PageSent(p, lf.iter, lf.wire, s.sendClassFor(p, ledger.ClassFault))
+	s.Cfg.Metrics.Histogram("migration.fault_stall_ns").Observe(float64(d))
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"javmm/internal/faults"
 	"javmm/internal/mem"
+	"javmm/internal/obs/ledger"
 )
 
 func TestPostCopyIdleGuest(t *testing.T) {
@@ -94,5 +96,50 @@ func TestPostCopyValidation(t *testing.T) {
 	src.Link = nil
 	if _, err := src.MigratePostCopy(); err == nil {
 		t.Fatal("missing link accepted")
+	}
+}
+
+// runGuest writes one run at the start of its first slice and then idles.
+type runGuest struct {
+	r   *testRig
+	run []mem.PFN
+}
+
+func (g *runGuest) Run(d time.Duration) {
+	if g.run != nil {
+		g.r.dom.WritePages(g.run)
+		g.run = nil
+	}
+	g.r.clock.Advance(d)
+}
+
+// A page a write run repeats is demand-fetched once, whether the run's
+// faulting pages are fetched together or, under an armed injector, one at
+// a time.
+func TestPostCopyFetchesRepeatedRunPageOnce(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		r := newRig(4096, 50*1000*1000)
+		led := ledger.New()
+		cfg := Config{Ledger: led}
+		if armed {
+			cfg.Faults = r.injector(t, faults.Plan{})
+		}
+		// High PFNs: the prefetch cursor, which starts at 0, has not reached
+		// them when the guest first runs.
+		g := &runGuest{r: r, run: []mem.PFN{4000, 4001, 4000, 4090, 4000, 4001}}
+		rep, err := r.source(cfg, g).MigratePostCopy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := rep.PostCopy
+		if pc.Faults != 3 || pc.Faults+pc.PrefetchPages != 4096 || r.dest.PagesReceived != 4096 {
+			t.Fatalf("armed=%v: %d faults + %d prefetched, %d received; want 3 faults and every page once",
+				armed, pc.Faults, pc.PrefetchPages, r.dest.PagesReceived)
+		}
+		for _, p := range []mem.PFN{4000, 4001, 4090} {
+			if got := led.Sends(p); got != 1 {
+				t.Fatalf("armed=%v: page %d sent %d times, want once", armed, p, got)
+			}
+		}
 	}
 }

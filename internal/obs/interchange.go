@@ -31,8 +31,10 @@ type jsonlEvent struct {
 // ReadJSONL parses a trace written by WriteJSONL back into events.
 // Attribute values come back as the JSON types allow: bool, string, int64
 // (integral numbers) or float64 — Duration attrs, exported as integer
-// nanoseconds, read back as int64. Attrs are sorted by key (JSON objects
-// carry no order), and Data payloads are gone: they were never exported.
+// nanoseconds, read back as int64. The one integral literal that is not an
+// int64 is `-0`: WriteJSONL writes it only for a float64 negative zero, so
+// it reads back as one. Attrs are sorted by key (JSON objects carry no
+// order), and Data payloads are gone: they were never exported.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
@@ -86,7 +88,7 @@ func decodeAttrValue(raw json.RawMessage) (any, error) {
 		return nil, err
 	}
 	if n, ok := v.(json.Number); ok {
-		if i, err := strconv.ParseInt(n.String(), 10, 64); err == nil {
+		if i, err := strconv.ParseInt(n.String(), 10, 64); err == nil && (i != 0 || n[0] != '-') {
 			return i, nil
 		}
 		return n.Float64()

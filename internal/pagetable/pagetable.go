@@ -129,7 +129,13 @@ func (f *FrameAllocator) Allocated(p mem.PFN) bool { return !f.free.Test(p) }
 type AddressSpace struct {
 	frames *FrameAllocator
 	// Two-level table: directory index = vpn >> dirShift.
-	dir       map[uint64]*ptTable
+	dir map[uint64]*ptTable
+	// spare holds the leaf tables Unmap emptied, for Map to reuse. An
+	// emptied leaf is all leafEmpty with used == 0, just as newPTTable
+	// builds one, so reuse cannot show. The JVM's young generation shrinks
+	// and grows again, so without them each regrowth allocates its leaves
+	// anew.
+	spare     []*ptTable
 	mapped    uint64
 	WalkSteps uint64 // page-table entries touched by Translate/Walk calls
 }
@@ -169,7 +175,12 @@ func (a *AddressSpace) Map(va mem.VA, p mem.PFN) {
 	vpn := va.PageOf()
 	t := a.dir[vpn>>dirShift]
 	if t == nil {
-		t = newPTTable()
+		if n := len(a.spare); n > 0 {
+			t = a.spare[n-1]
+			a.spare = a.spare[:n-1]
+		} else {
+			t = newPTTable()
+		}
 		a.dir[vpn>>dirShift] = t
 	}
 	if t.entries[vpn&leafMask] != leafEmpty {
@@ -207,6 +218,7 @@ func (a *AddressSpace) Unmap(va mem.VA) mem.PFN {
 	t.used--
 	if t.used == 0 {
 		delete(a.dir, di)
+		a.spare = append(a.spare, t)
 	}
 	a.mapped--
 	return p

@@ -375,3 +375,114 @@ func TestFrameRunBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafRecyclingMatchesModel drives Map, Unmap, Translate and FrameRun
+// with random operations over a few leaf tables, emptying whole leaves and
+// refilling them so recycled leaves are reused, and checks every answer
+// against a plain map of the mappings.
+func TestLeafRecyclingMatchesModel(t *testing.T) {
+	const leaves = 4
+	const pages = leaves * leafSlots
+	rng := rand.New(rand.NewSource(21))
+	f := NewFrameAllocator(pages)
+	a := NewAddressSpace(f)
+	model := map[uint64]mem.PFN{} // vpn -> frame
+	unmapLeaf := func(l uint64) {
+		for vpn := l * leafSlots; vpn < (l+1)*leafSlots; vpn++ {
+			if p, ok := model[vpn]; ok {
+				if got := a.Unmap(mem.VA(vpn * mem.PageSize)); got != p {
+					t.Fatalf("Unmap(vpn %d) = %d, model %d", vpn, got, p)
+				}
+				f.Release(p)
+				delete(model, vpn)
+			}
+		}
+	}
+	recycled := 0
+	for i := 0; i < 20000; i++ {
+		vpn := uint64(rng.Intn(pages))
+		va := mem.VA(vpn * mem.PageSize)
+		switch op := rng.Intn(10); {
+		case op < 4: // map
+			if _, ok := model[vpn]; ok {
+				continue
+			}
+			if a.dir[vpn>>dirShift] == nil && len(a.spare) > 0 {
+				recycled++
+			}
+			p, err := f.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Map(va, p)
+			model[vpn] = p
+		case op < 6: // unmap
+			p, ok := model[vpn]
+			if !ok {
+				continue
+			}
+			if got := a.Unmap(va); got != p {
+				t.Fatalf("Unmap(vpn %d) = %d, model %d", vpn, got, p)
+			}
+			f.Release(p)
+			delete(model, vpn)
+		case op < 7: // empty a whole leaf
+			unmapLeaf(vpn >> dirShift)
+		case op < 9: // translate
+			got, ok := a.Translate(va)
+			if want, mapped := model[vpn]; ok != mapped || got != want && mapped {
+				t.Fatalf("Translate(vpn %d) = %d,%v, model %d,%v", vpn, got, ok, want, mapped)
+			}
+		default: // a frame run to a random end
+			end := va + mem.VA(1+rng.Intn(2*leafSlots))*mem.PageSize
+			run := a.FrameRun(va, end)
+			var want []mem.PFN
+			for v := vpn; mem.VA(v*mem.PageSize) < end && v>>dirShift == vpn>>dirShift; v++ {
+				p, ok := model[v]
+				if !ok {
+					break
+				}
+				want = append(want, p)
+			}
+			if len(run) != len(want) || len(want) > 0 && !reflect.DeepEqual(run, want) {
+				t.Fatalf("FrameRun(vpn %d) = %v, model %v", vpn, run, want)
+			}
+		}
+		if a.Mapped() != uint64(len(model)) {
+			t.Fatalf("Mapped = %d, model %d", a.Mapped(), len(model))
+		}
+		if len(a.dir)+len(a.spare) > leaves {
+			t.Fatalf("%d live and %d spare leaves for %d leaf slots", len(a.dir), len(a.spare), leaves)
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no emptied leaf was reused")
+	}
+}
+
+// Unmapping a whole leaf and mapping it again allocates nothing once the
+// first cycle has put the emptied leaf on the spare list.
+func TestRemapEmptiedLeafAllocatesNothing(t *testing.T) {
+	f := NewFrameAllocator(2 * leafSlots)
+	a := NewAddressSpace(f)
+	leaf := mem.VARange{Start: leafSlots * mem.PageSize, End: 2 * leafSlots * mem.PageSize}
+	frames := make([]mem.PFN, leafSlots)
+	for i := range frames {
+		frames[i] = mem.PFN(i)
+	}
+	cycle := func() {
+		for i, p := range frames {
+			a.Map(leaf.Start+mem.VA(i)*mem.PageSize, p)
+		}
+		for i := range frames {
+			a.Unmap(leaf.Start + mem.VA(i)*mem.PageSize)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("unmap and remap of a whole leaf: %v allocs per cycle, want 0", allocs)
+	}
+	if len(a.dir) != 0 || len(a.spare) != 1 || a.Mapped() != 0 {
+		t.Fatalf("after the cycles: %d live leaves, %d spare, %d mapped", len(a.dir), len(a.spare), a.Mapped())
+	}
+}

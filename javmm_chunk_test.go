@@ -28,10 +28,12 @@ type chunkRun struct {
 // migrateForDelivery boots seed 7, migrates it in mode and returns what the
 // run left behind. perPage attaches an injector armed from an empty plan: it
 // never fires, but while it is armed the engine hands the destination one
-// page at a time instead of one chunk per call. resume aborts a first run
-// with a cancel deadline and returns the resumed run; both runs use the same
-// delivery.
-func migrateForDelivery(t *testing.T, mode javmm.Mode, perPage, resume bool) chunkRun {
+// page at a time instead of one chunk or write run per call. resume aborts
+// a first run and returns the resumed run; both runs use the same delivery.
+// The first run aborts at a cancel deadline, or by the fault rule abort
+// when it is set; a first run under a fault rule delivers page by page in
+// both deliveries, so only the resumed run differs.
+func migrateForDelivery(t *testing.T, mode javmm.Mode, perPage, resume bool, abort string) chunkRun {
 	t.Helper()
 	vm := bootSmall(t, mode == javmm.ModeJAVMM, 7)
 	opts := func() javmm.MigrateOptions {
@@ -48,7 +50,17 @@ func migrateForDelivery(t *testing.T, mode javmm.Mode, perPage, resume bool) chu
 	o := opts()
 	if resume {
 		o.Engine.Recovery.EnableResume = true
-		o.Engine.CancelAfter = 3 * time.Second
+		if abort == "" {
+			o.Engine.CancelAfter = 3 * time.Second
+		} else {
+			plan, err := javmm.ParseFaultPlan([]string{abort})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Faults, err = javmm.NewFaultInjector(vm.Clock, plan); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	res, err := javmm.Migrate(vm, o)
 	if resume {
@@ -103,8 +115,8 @@ func TestChunkDeliveryMatchesPerPageDelivery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chunked := migrateForDelivery(t, tc.mode, false, tc.resume)
-			perPage := migrateForDelivery(t, tc.mode, true, tc.resume)
+			chunked := migrateForDelivery(t, tc.mode, false, tc.resume, "")
+			perPage := migrateForDelivery(t, tc.mode, true, tc.resume, "")
 			if chunked.report.Integrity == nil || chunked.report.Integrity.RollingDigest == 0 {
 				t.Fatal("run carries no integrity account")
 			}
@@ -134,6 +146,74 @@ func TestChunkDeliveryMatchesPerPageDelivery(t *testing.T) {
 			if chunked.rolling != perPage.rolling || chunked.pages != perPage.pages || chunked.bytes != perPage.bytes {
 				t.Errorf("destination rolling digest/pages/bytes %x/%d/%d vs %x/%d/%d",
 					chunked.rolling, chunked.pages, chunked.bytes, perPage.rolling, perPage.pages, perPage.bytes)
+			}
+		})
+	}
+}
+
+// TestLazyBatchedDeliveryMatchesPerPageDelivery migrates the same seed with
+// the lazy phase fetching each guest write run's faulting pages together
+// (no injector) and one page at a time (an armed injector that never
+// fires), in post-copy, hybrid and a post-copy run resumed after a demand
+// fetch failed for good. Reports with their post-copy and integrity
+// accounts, ledger, attribution, and the destination's image, digest table,
+// received set and rolling digest must all be identical.
+func TestLazyBatchedDeliveryMatchesPerPageDelivery(t *testing.T) {
+	cases := []struct {
+		name   string
+		mode   javmm.Mode
+		resume bool
+	}{
+		{"post-copy", javmm.ModePostCopy, false},
+		{"hybrid", javmm.ModeHybrid, false},
+		{"post-copy-resumed", javmm.ModePostCopy, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const abort = "postcopy.fetch#5000,count=1000000"
+			batched := migrateForDelivery(t, tc.mode, false, tc.resume, abort)
+			perPage := migrateForDelivery(t, tc.mode, true, tc.resume, abort)
+			pc := batched.report.PostCopy
+			if pc == nil || pc.Faults == 0 {
+				t.Fatal("run made no demand fetches")
+			}
+			if batched.report.Integrity == nil || batched.report.Integrity.RollingDigest == 0 {
+				t.Fatal("run carries no integrity account")
+			}
+			if tc.resume && (batched.report.Resume == nil || batched.report.Resume.TrustedPages == 0) {
+				t.Fatal("resumed run trusted no pages; it does not exercise resume-refetch fetches")
+			}
+			if !reflect.DeepEqual(batched.report, perPage.report) {
+				t.Errorf("reports differ:\nbatched:  %+v\nper page: %+v", batched.report, perPage.report)
+			}
+			if !reflect.DeepEqual(pc, perPage.report.PostCopy) {
+				t.Errorf("post-copy stats differ:\nbatched:  %+v\nper page: %+v", pc, perPage.report.PostCopy)
+			}
+			if !reflect.DeepEqual(batched.report.Integrity, perPage.report.Integrity) {
+				t.Errorf("integrity accounts differ:\nbatched:  %+v\nper page: %+v",
+					batched.report.Integrity, perPage.report.Integrity)
+			}
+			if !reflect.DeepEqual(batched.ledger, perPage.ledger) {
+				t.Errorf("ledger summaries differ:\nbatched:  %+v\nper page: %+v", batched.ledger, perPage.ledger)
+			}
+			if !reflect.DeepEqual(batched.attrib, perPage.attrib) {
+				t.Error("attributions differ")
+			}
+			if batched.workload != perPage.workload {
+				t.Errorf("workload downtime %v vs %v", batched.workload, perPage.workload)
+			}
+			if !reflect.DeepEqual(batched.versions, perPage.versions) {
+				t.Error("destination images differ")
+			}
+			if !reflect.DeepEqual(batched.digests, perPage.digests) {
+				t.Error("destination digest tables differ")
+			}
+			if !reflect.DeepEqual(batched.received, perPage.received) {
+				t.Error("destination received sets differ")
+			}
+			if batched.rolling != perPage.rolling || batched.pages != perPage.pages || batched.bytes != perPage.bytes {
+				t.Errorf("destination rolling digest/pages/bytes %x/%d/%d vs %x/%d/%d",
+					batched.rolling, batched.pages, batched.bytes, perPage.rolling, perPage.pages, perPage.bytes)
 			}
 		})
 	}

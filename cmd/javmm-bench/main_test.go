@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"javmm"
 	"javmm/internal/obs/perf"
 )
 
@@ -200,5 +202,37 @@ func TestReadAllocsCountsEverySmallObject(t *testing.T) {
 	}
 	if got.bytes < n*16 {
 		t.Fatalf("counted %d bytes for %d 16-byte objects", got.bytes, n)
+	}
+}
+
+// A move whose Report does not reconcile with its own iteration series fails
+// the cell, as an engine or plan error would.
+func TestMoveBlocksRejectsUnreconciledMove(t *testing.T) {
+	move := func(totalPages uint64) []javmm.PlanMoveResult {
+		return []javmm.PlanMoveResult{{
+			Name: "vm0",
+			Report: &javmm.Report{
+				Mode: javmm.ModeXen,
+				Iterations: []javmm.IterationStats{
+					{Index: 1, PagesSent: 100, BytesOnWire: 100 * 4096},
+					{Index: 2, Last: true, PagesSent: 7, BytesOnWire: 7 * 4096},
+				},
+				TotalPagesSent: totalPages,
+				VMDowntime:     200 * time.Millisecond,
+				Resumption:     170 * time.Millisecond,
+			},
+			WorkloadDowntime: 200 * time.Millisecond,
+		}}
+	}
+	label := func(int) string { return "derby" }
+	dets, err := moveBlocks(move(107), label)
+	if err != nil {
+		t.Fatalf("reconciled move rejected: %v", err)
+	}
+	if dets[0].PagesSent != 107 || dets[0].Workload != "derby" {
+		t.Fatalf("deterministic block = %+v", dets[0])
+	}
+	if _, err := moveBlocks(move(108), label); err == nil {
+		t.Fatal("a move whose TotalPagesSent is off by one passed the check")
 	}
 }

@@ -200,8 +200,9 @@ func runOrchScenario(spec orchSpec, o options) ([]perf.Scenario, error) {
 	return scs, nil
 }
 
-// orchOnce executes the evacuation plan once and projects each move's
-// outcome onto the deterministic block.
+// orchOnce executes the evacuation plan once, re-verifies the admission caps
+// (except under the naive ordering, which ignores them by design) and
+// checks and projects each move's outcome onto the deterministic block.
 func orchOnce(spec orchSpec, o options, prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error) {
 	plan, err := javmm.ParseMigrationPlan("evacuate host src")
 	if err != nil {
@@ -225,25 +226,14 @@ func orchOnce(spec orchSpec, o options, prof *javmm.StageProfiler) ([]perf.Deter
 	if err != nil {
 		return nil, 0, allocDelta{}, err
 	}
-	dets := make([]perf.Deterministic, len(res.Moves))
-	for i := range res.Moves {
-		m := &res.Moves[i]
-		if m.Err != nil {
-			return nil, 0, allocDelta{}, fmt.Errorf("%s: %w", m.Name, m.Err)
+	if spec.ordering != javmm.OrderNaive {
+		// The naive ordering ignores the admission caps by design.
+		if err := javmm.VerifyAdmission(res.Moves, oo.Admission); err != nil {
+			return nil, 0, allocDelta{}, err
 		}
-		if m.VerifyErr != nil {
-			return nil, 0, allocDelta{}, fmt.Errorf("%s: destination verification failed: %w", m.Name, m.VerifyErr)
-		}
-		det := javmm.BenchDeterministic(&javmm.Result{
-			Report:           m.Report,
-			WorkloadDowntime: m.WorkloadDowntime,
-			EnforcedGC:       m.EnforcedGC,
-		})
-		det.Workload = "mpeg"
-		det.Codec = "raw"
-		dets[i] = det
 	}
-	return dets, wall, delta, nil
+	dets, err := moveBlocks(res.Moves, func(int) string { return "mpeg" })
+	return dets, wall, delta, err
 }
 
 // healSpec names one self-healing cell: a 2-VM "evacuate host src" plan
@@ -355,10 +345,11 @@ func runHealScenario(spec healSpec, o options) ([]perf.Scenario, error) {
 	return scs, nil
 }
 
-// healOnce executes the evacuation once under the cell's healing policy and
-// projects each move's outcome onto the deterministic block. Every move must
-// complete: the relocate cell's crashed destination is healed around, not
-// tolerated as a failure.
+// healOnce executes the evacuation once under the cell's healing policy,
+// re-verifies the admission caps, and checks and projects each move's
+// outcome onto the deterministic block. Every move must complete: the
+// relocate cell's crashed destination is healed around, not tolerated as a
+// failure.
 func healOnce(spec healSpec, o options, prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error) {
 	plan, err := javmm.ParseMigrationPlan("evacuate host src")
 	if err != nil {
@@ -388,25 +379,11 @@ func healOnce(spec healSpec, o options, prof *javmm.StageProfiler) ([]perf.Deter
 	if err != nil {
 		return nil, 0, allocDelta{}, err
 	}
-	dets := make([]perf.Deterministic, len(res.Moves))
-	for i := range res.Moves {
-		m := &res.Moves[i]
-		if m.Err != nil {
-			return nil, 0, allocDelta{}, fmt.Errorf("%s: %w", m.Name, m.Err)
-		}
-		if m.VerifyErr != nil {
-			return nil, 0, allocDelta{}, fmt.Errorf("%s: destination verification failed: %w", m.Name, m.VerifyErr)
-		}
-		det := javmm.BenchDeterministic(&javmm.Result{
-			Report:           m.Report,
-			WorkloadDowntime: m.WorkloadDowntime,
-			EnforcedGC:       m.EnforcedGC,
-		})
-		det.Workload = healWorkloads[i%len(healWorkloads)]
-		det.Codec = "raw"
-		dets[i] = det
+	if err := javmm.VerifyAdmission(res.Moves, oo.Admission); err != nil {
+		return nil, 0, allocDelta{}, err
 	}
-	return dets, wall, delta, nil
+	dets, err := moveBlocks(res.Moves, func(i int) string { return healWorkloads[i%len(healWorkloads)] })
+	return dets, wall, delta, err
 }
 
 // runFleetScenario measures one contention cell under the same protocol as
@@ -480,10 +457,10 @@ func runFleetScenario(spec fleetSpec, o options) ([]perf.Scenario, error) {
 	return scs, nil
 }
 
-// fleetOnce runs the whole fleet once and projects each VM's outcome onto
-// the deterministic block. prof, when non-nil, is attached to every engine
-// as EngineConfig.Perf (safe: the cooperative scheduler runs one process at
-// a time and no instrumented stage advances the clock).
+// fleetOnce runs the whole fleet once and checks and projects each VM's
+// outcome onto the deterministic block. prof, when non-nil, is attached to
+// every engine as EngineConfig.Perf (safe: the cooperative scheduler runs
+// one process at a time and no instrumented stage advances the clock).
 func fleetOnce(spec fleetSpec, o options, prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error) {
 	mode, err := javmm.ParseMode(spec.mode)
 	if err != nil {
@@ -522,25 +499,38 @@ func fleetOnce(spec fleetSpec, o options, prof *javmm.StageProfiler) ([]perf.Det
 	if err != nil {
 		return nil, 0, allocDelta{}, err
 	}
-	dets := make([]perf.Deterministic, len(res.Moves))
-	for i := range res.Moves {
-		vm := &res.Moves[i]
-		if vm.Err != nil {
-			return nil, 0, allocDelta{}, fmt.Errorf("%s: %w", vm.Name, vm.Err)
+	dets, err := moveBlocks(res.Moves, func(int) string { return spec.workload })
+	return dets, wall, delta, err
+}
+
+// moveBlocks checks every executed move of a plan and projects it onto the
+// deterministic block, labelled with workload(i) and the raw codec. A move
+// fails the cell when its engine erred, its destination image diverged, or
+// its attribution does not reconcile with its Report.
+func moveBlocks(moves []javmm.PlanMoveResult, workload func(i int) string) ([]perf.Deterministic, error) {
+	dets := make([]perf.Deterministic, len(moves))
+	for i := range moves {
+		m := &moves[i]
+		if m.Err != nil {
+			return nil, fmt.Errorf("%s: %w", m.Name, m.Err)
 		}
-		if vm.VerifyErr != nil {
-			return nil, 0, allocDelta{}, fmt.Errorf("%s: destination verification failed: %w", vm.Name, vm.VerifyErr)
+		if m.VerifyErr != nil {
+			return nil, fmt.Errorf("%s: destination verification failed: %w", m.Name, m.VerifyErr)
 		}
-		det := javmm.BenchDeterministic(&javmm.Result{
-			Report:           vm.Report,
-			WorkloadDowntime: vm.WorkloadDowntime,
-			EnforcedGC:       vm.EnforcedGC,
-		})
-		det.Workload = spec.workload
+		res := &javmm.Result{
+			Report:           m.Report,
+			WorkloadDowntime: m.WorkloadDowntime,
+			EnforcedGC:       m.EnforcedGC,
+		}
+		if _, err := javmm.Attribute(res, nil); err != nil {
+			return nil, fmt.Errorf("%s: %w", m.Name, err)
+		}
+		det := javmm.BenchDeterministic(res)
+		det.Workload = workload(i)
 		det.Codec = "raw"
 		dets[i] = det
 	}
-	return dets, wall, delta, nil
+	return dets, nil
 }
 
 // runScenario measures one matrix cell: first an instrumented accounting run
@@ -611,8 +601,9 @@ func runScenario(spec scenarioSpec, o options) (perf.Scenario, error) {
 
 // migrateOnce boots a fresh VM for the cell, warms it up, and migrates it,
 // measuring only the Migrate call itself (wall clock plus heap-allocation
-// deltas from runtime/metrics). prof, when non-nil, is attached as
-// EngineConfig.Perf.
+// deltas from runtime.MemStats). After the timed region the run must pass
+// destination verification and reconcile its attribution with the Report.
+// prof, when non-nil, is attached as EngineConfig.Perf.
 func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) (*javmm.Result, time.Duration, allocDelta, error) {
 	mode, err := javmm.ParseMode(spec.mode)
 	if err != nil {
@@ -659,6 +650,9 @@ func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) (*javm
 	}
 	if res.VerifyErr != nil {
 		return nil, 0, allocDelta{}, fmt.Errorf("destination verification failed: %w", res.VerifyErr)
+	}
+	if _, err := javmm.Attribute(res, nil); err != nil {
+		return nil, 0, allocDelta{}, err
 	}
 	return res, wall, delta, nil
 }

@@ -216,10 +216,20 @@ func run(o options, out io.Writer) error {
 		stages = javmm.NewStageProfiler()
 		engine.Perf = stages
 	}
+	// -v reads the per-iteration statistics off the tracer's event bus, so
+	// it needs a tracer even without -trace.
+	var tracer *javmm.Tracer
+	if o.TracePath != "" || o.Verbose {
+		tracer = javmm.NewTracer(vm.Clock)
+	}
 	if o.Verbose {
 		fmt.Fprintf(out, "\n%-5s %-10s %-10s %-12s %-12s %-12s\n",
 			"iter", "start", "duration", "sent", "skip-dirty", "skip-bitmap")
-		engine.OnIteration = func(it javmm.IterationStats) {
+		tracer.Subscribe(func(e javmm.Event) {
+			it, ok := e.Data.(javmm.IterationStats)
+			if !ok {
+				return
+			}
 			mark := " "
 			if it.Last {
 				mark = "*"
@@ -231,7 +241,7 @@ func run(o options, out io.Writer) error {
 				mb(it.BytesOnWire),
 				mb(it.PagesSkippedDirty*4096),
 				mb(it.PagesSkippedBitmap*4096))
-		}
+		})
 	}
 
 	engine.Recovery.Seed = o.FaultSeed
@@ -244,6 +254,7 @@ func run(o options, out io.Writer) error {
 		Mode:      mode,
 		Bandwidth: o.Bandwidth,
 		Engine:    engine,
+		Tracer:    tracer,
 	}
 	if len(o.Faults) > 0 {
 		plan, err := javmm.ParseFaultPlan(o.Faults)
@@ -256,12 +267,7 @@ func run(o options, out io.Writer) error {
 		}
 		opts.Faults = inj
 	}
-	var tracer *javmm.Tracer
 	var metrics *javmm.Metrics
-	if o.TracePath != "" {
-		tracer = javmm.NewTracer(vm.Clock)
-		opts.Tracer = tracer
-	}
 	if o.Metrics || o.MetricsOut != "" {
 		metrics = javmm.NewMetrics(vm.Clock)
 		opts.Metrics = metrics
@@ -352,7 +358,7 @@ func run(o options, out io.Writer) error {
 			c.Total, c.DowntimeCost, c.DipCost, c.LostOps, c.DipSeconds)
 	}
 
-	if tracer != nil {
+	if o.TracePath != "" {
 		if err := writeTrace(o.TracePath, o.TraceFormat, tracer.Events()); err != nil {
 			return err
 		}

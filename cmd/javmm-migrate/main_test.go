@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -33,8 +34,17 @@ func base() options {
 func TestRunJavmmMode(t *testing.T) {
 	o := base()
 	o.Verbose = true
-	if err := run(o, new(bytes.Buffer)); err != nil {
+	var out bytes.Buffer
+	if err := run(o, &out); err != nil {
 		t.Fatal(err)
+	}
+	// -v prints its per-iteration table from the event bus, ending in the
+	// marked stop-and-copy row; without -trace nothing is traced to a file.
+	if !regexp.MustCompile(`(?m)^\d+ +\* `).MatchString(out.String()) {
+		t.Fatalf("no stop-and-copy row in the -v table:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "  trace ") {
+		t.Fatalf("-v without -trace reported a trace file:\n%s", out.String())
 	}
 }
 

@@ -242,20 +242,12 @@ func runTrial(opts *Options, mode migration.Mode, plan faults.Plan) (string, str
 	if err != nil {
 		return "plan-invalid", err.Error()
 	}
-	link := netsim.NewLink(clock, opts.Bandwidth, 100*time.Microsecond)
-	link.SetFaults(inj)
-	dest := migration.NewDestination(opts.Pages)
-	dest.SetFaults(inj)
-	guest.LKM.SetFaults(inj)
-	guest.Bus.SetFaults(inj)
 	led := ledger.New()
 	cfg := migration.Config{Mode: mode, Faults: inj, Ledger: led}
 	cfg.Recovery.EnableResume = true
 	cfg.Integrity.Disable = opts.DisableIntegrityAudit
-	src := &migration.Source{
-		Dom: dom, LKM: guest.LKM, Link: link, Clock: clock,
-		Exec: exec, Dest: dest, Cfg: cfg,
-	}
+	src := migration.NewSource(guest, exec, netsim.NewLink(clock, opts.Bandwidth, 100*time.Microsecond),
+		migration.NewDestination(opts.Pages), cfg)
 	rep, err := src.Migrate()
 
 	// Invariant: whatever happened, the engine hands back a report.
@@ -282,13 +274,13 @@ func runTrial(opts *Options, mode migration.Mode, plan faults.Plan) (string, str
 		}
 		// Invariant: a resumed run (fault plane detached) converges to a
 		// verified completion.
-		return checkResume(opts, src, link, dest, guest, rec.Token)
+		return checkResume(src, rec.Token)
 	}
 	// Invariant: a completed run's destination holds the source's content
 	// for every page of the final transfer set (pre-copy engines; after a
 	// post-copy switchover the guest legitimately outruns the image).
 	if rep.PostCopy == nil {
-		if inv, detail := checkImage(dom, dest, rep, "run"); inv != "" {
+		if inv, detail := checkImage(src, rep, "run"); inv != "" {
 			return inv, detail
 		}
 	}
@@ -315,15 +307,15 @@ func checkLedger(led *ledger.Ledger, rep *migration.Report, phase string) (strin
 // destination received out of the final transfer set. The comparison runs on
 // the digest tables, so silent in-flight corruption is exactly what it
 // catches.
-func checkImage(dom *hypervisor.Domain, dest *migration.Destination, rep *migration.Report, phase string) (string, string) {
+func checkImage(src *migration.Source, rep *migration.Report, phase string) (string, string) {
 	if rep.FinalTransfer == nil {
 		return "", ""
 	}
-	store := dom.Store()
+	store := src.Dom.Store()
 	var bad []mem.PFN
 	var buf []byte
 	rep.FinalTransfer.Range(func(p mem.PFN) bool {
-		got, ok := dest.PageDigestAt(p)
+		got, ok := src.Dest.PageDigestAt(p)
 		if !ok {
 			return true
 		}
@@ -341,24 +333,14 @@ func checkImage(dom *hypervisor.Domain, dest *migration.Destination, rep *migrat
 	return "", ""
 }
 
-// checkResume detaches the fault plane and resumes from the token; the
-// resumed run must complete, reconcile, and leave a faithful image.
-func checkResume(opts *Options, src *migration.Source, link *netsim.Link,
-	dest *migration.Destination, guest *guestos.Guest, tok *migration.ResumeToken) (string, string) {
-	link.SetFaults(nil)
-	dest.SetFaults(nil)
-	guest.LKM.SetFaults(nil)
-	guest.Bus.SetFaults(nil)
+// checkResume detaches the fault plane and resumes from the token on the
+// same Source, with a fresh ledger; the resumed run must complete,
+// reconcile, and leave a faithful image.
+func checkResume(src *migration.Source, tok *migration.ResumeToken) (string, string) {
+	src.SetFaults(nil)
 	led := ledger.New()
-	cfg := src.Cfg
-	cfg.Faults = nil
-	cfg.Ledger = led
-	cfg.Integrity.Disable = opts.DisableIntegrityAudit
-	re := &migration.Source{
-		Dom: src.Dom, LKM: guest.LKM, Link: link, Clock: src.Clock,
-		Exec: src.Exec, Dest: dest, Cfg: cfg,
-	}
-	rep, err := re.Resume(tok)
+	src.Cfg.Ledger = led
+	rep, err := src.Resume(tok)
 	if err != nil {
 		return "resume-diverged", fmt.Sprintf("fault-free resume failed: %v", err)
 	}
@@ -369,7 +351,7 @@ func checkResume(opts *Options, src *migration.Source, link *netsim.Link,
 		return inv, detail
 	}
 	if rep.PostCopy == nil {
-		return checkImage(src.Dom, dest, rep, "resume")
+		return checkImage(src, rep, "resume")
 	}
 	return "", ""
 }

@@ -298,20 +298,6 @@ func AblationScale(o Options) (*Table, error) {
 	return t, nil
 }
 
-// RunPostCopy boots a VM and migrates it post-copy style (related work, §2).
-// Post-copy has no pre-copy verification counterpart: the correctness
-// invariant is that every page became resident, which the engine guarantees
-// by construction before returning. It is a thin wrapper over RunMigration
-// with Mode forced to ModePostCopy — the staged engine dispatches on Mode.
-func RunPostCopy(opts RunOpts) (*Run, *migration.PostCopyStats, error) {
-	opts.Mode = migration.ModePostCopy
-	r, err := RunMigration(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, r.Report.PostCopy, nil
-}
-
 // AblationPostCopy renders X8: the post-copy and hybrid baselines (§2)
 // against pre-copy and JAVMM on derby. Post-copy wins downtime by
 // construction but degrades the resumed VM while its working set is
@@ -405,16 +391,8 @@ func RunCacheMigration(mode migration.Mode, memBytes, cacheBytes, bandwidth uint
 	}
 	app.Run(warmup)
 
-	dest := migration.NewDestination(dom.NumPages())
-	src := &migration.Source{
-		Dom:   dom,
-		LKM:   g.LKM,
-		Link:  netsim.NewLink(clock, bandwidth, 100*time.Microsecond),
-		Clock: clock,
-		Exec:  app,
-		Dest:  dest,
-		Cfg:   migration.Config{Mode: mode},
-	}
+	src := migration.NewSource(g, app, netsim.NewLink(clock, bandwidth, 100*time.Microsecond),
+		migration.NewDestination(dom.NumPages()), migration.Config{Mode: mode})
 	rep, err := src.Migrate()
 	if err != nil {
 		return nil, err
@@ -424,8 +402,7 @@ func RunCacheMigration(mode migration.Mode, memBytes, cacheBytes, bandwidth uint
 	// them — exactly the §6 contract.
 	purgedPFNs := make(map[mem.PFN]bool)
 	app.Proc().AS.Walk(app.PurgedRegion(), func(va mem.VA, q mem.PFN) { purgedPFNs[q] = true })
-	out.VerifyErr = migration.VerifyMigration(dom.Store(), dest.Store, rep.FinalTransfer,
-		func(p mem.PFN) bool { return g.Frames.Allocated(p) && !purgedPFNs[p] })
+	out.VerifyErr = src.VerifyImage(rep, func(p mem.PFN) bool { return !purgedPFNs[p] })
 
 	resumeAt := clock.Now()
 	opsAt := app.TotalOps

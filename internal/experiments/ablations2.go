@@ -272,16 +272,8 @@ func AblationCongestion(o Options) (*Table, error) {
 			if congested {
 				link.Modulator = congest(vm.Clock.Now())
 			}
-			src := &migration.Source{
-				Dom:   vm.Dom,
-				LKM:   vm.Guest.LKM,
-				Link:  link,
-				Clock: vm.Clock,
-				Exec:  vm.Driver,
-				Dest:  migration.NewDestination(vm.Dom.NumPages()),
-				Cfg:   migration.Config{Mode: mode},
-			}
-			rep, err := src.Migrate()
+			rep, err := migration.NewSource(vm.Guest, vm.Driver, link,
+				migration.NewDestination(vm.Dom.NumPages()), migration.Config{Mode: mode}).Migrate()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: congestion ablation %s: %w", mode, err)
 			}

@@ -11,12 +11,9 @@ import (
 
 	"javmm/internal/faults"
 	"javmm/internal/jvm"
-	"javmm/internal/mem"
 	"javmm/internal/migration"
 	"javmm/internal/netsim"
-	"javmm/internal/obs"
 	"javmm/internal/obs/attrib"
-	"javmm/internal/obs/ledger"
 	"javmm/internal/workload"
 )
 
@@ -64,15 +61,6 @@ type RunOpts struct {
 	// MigrationConfig tweaks beyond the defaults; Mode/Compress/Throttle
 	// fields above win.
 	EngineConfig *migration.Config
-
-	// Tracer and Metrics, when non-nil, observe the run: they are attached
-	// to every instrumented layer of the booted VM and threaded through the
-	// migration engine, so one experiment produces one coherent trace.
-	Tracer  *obs.Tracer
-	Metrics *obs.Metrics
-	// Ledger, when non-nil, records the run's per-page provenance and
-	// enables the Attribution carried on the Run.
-	Ledger *ledger.Ledger
 
 	// FaultPlan, when non-empty, injects faults into every layer of the run
 	// (resilience experiments); RecoverySeed seeds the retry backoff jitter.
@@ -140,10 +128,9 @@ type Run struct {
 	AgentGrowReports int
 
 	// Attribution is the reconciled downtime/traffic accounting of the
-	// run, always present (the per-reason ledger breakdown only when
-	// RunOpts.Ledger was set). RunMigration fails if it does not reconcile
-	// with the Report — figures must not be built from numbers that do not
-	// add up.
+	// run, always present (without the per-reason ledger breakdown).
+	// RunMigration fails if it does not reconcile with the Report — figures
+	// must not be built from numbers that do not add up.
 	Attribution *attrib.Attribution
 
 	// Aborted marks a fault-aborted run (only with RunOpts.AllowAbort);
@@ -185,10 +172,6 @@ func RunMigration(opts RunOpts) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tracer != nil || opts.Metrics != nil {
-		vm.AttachObs(opts.Tracer, opts.Metrics)
-	}
-
 	vm.Driver.Run(opts.Warmup)
 	if vm.Driver.Err != nil {
 		return nil, fmt.Errorf("experiments: warmup failed: %w", vm.Driver.Err)
@@ -233,56 +216,21 @@ func RunMigration(opts RunOpts) (*Run, error) {
 	if opts.HintedCompress {
 		cfg.HintedCompression = true
 	}
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
-	}
-	if opts.Metrics != nil {
-		cfg.Metrics = opts.Metrics
-	}
-	if opts.Ledger != nil {
-		cfg.Ledger = opts.Ledger
-	}
 	var inj *faults.Injector
 	if len(opts.FaultPlan) > 0 {
 		inj, err = faults.NewInjector(vm.Clock, opts.FaultPlan)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		inj.SetObs(opts.Tracer, opts.Metrics)
 		cfg.Faults = inj
 		cfg.Recovery.Seed = opts.RecoverySeed
-		vm.Guest.LKM.SetFaults(inj)
-		vm.Guest.Bus.SetFaults(inj)
 	}
 	if opts.ResumeAfterAbort {
-		if opts.Ledger != nil {
-			// One ledger cannot serve two runs: the continuation's sends
-			// would land on top of the aborted run's and break the
-			// attribution reconciliation against the first report.
-			return nil, fmt.Errorf("experiments: ResumeAfterAbort is incompatible with a shared Ledger")
-		}
 		opts.AllowAbort = true
 		cfg.Recovery.EnableResume = true
 	}
 	link := netsim.NewLink(vm.Clock, opts.Bandwidth, 100*time.Microsecond)
-	link.SetMetrics(opts.Metrics)
-	link.SetFaults(inj)
-	dest := migration.NewDestination(vm.Dom.NumPages())
-	dest.SetFaults(inj)
-
-	src := &migration.Source{
-		Dom:   vm.Dom,
-		LKM:   vm.Guest.LKM,
-		Link:  link,
-		Clock: vm.Clock,
-		Exec:  vm.Driver,
-		Dest:  dest,
-		Cfg:   cfg,
-		GuestFree: func(p mem.PFN) bool {
-			return !vm.Guest.Frames.Allocated(p)
-		},
-		HintFor: vm.Guest.LKM.HintFor,
-	}
+	src := migration.NewSource(vm.Guest, vm.Driver, link, migration.NewDestination(vm.Dom.NumPages()), cfg)
 	report, err := src.Migrate()
 	aborted := false
 	if err != nil {
@@ -309,11 +257,7 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		// Detach the injector everywhere and let the guest run on: the
 		// continuation is fault-free and pays only for what the token
 		// cannot vouch for.
-		link.SetFaults(nil)
-		dest.SetFaults(nil)
-		vm.Guest.LKM.SetFaults(nil)
-		vm.Guest.Bus.SetFaults(nil)
-		src.Cfg.Faults = nil
+		src.SetFaults(nil)
 		vm.Driver.Run(2 * time.Second)
 		if vm.Driver.Err != nil {
 			return nil, fmt.Errorf("experiments: workload failed between abort and resume: %w", vm.Driver.Err)
@@ -323,39 +267,16 @@ func RunMigration(opts RunOpts) (*Run, error) {
 			return nil, fmt.Errorf("experiments: resume after abort failed: %w", rerr)
 		}
 		run.ResumeReport = rrep
-		if rrep.PostCopy == nil {
-			run.ResumeVerifyErr = migration.VerifyMigration(
-				vm.Dom.Store(), src.Dest.Store, rrep.FinalTransfer,
-				func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
-		}
+		run.ResumeVerifyErr = src.VerifyImage(rrep, nil)
 	}
 
-	// Runs with a post-copy phase have no store-equality counterpart: the
-	// guest keeps running (and dirtying) after switchover, and the engine's
-	// demand-fetch path guarantees residency by construction. Aborted runs
-	// discarded the destination — there is nothing to verify.
-	if report.PostCopy == nil && !aborted {
-		run.VerifyErr = migration.VerifyMigration(
-			vm.Dom.Store(), src.Dest.Store, report.FinalTransfer,
-			func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
+	// An aborted run discarded the destination: there is nothing to verify.
+	if !aborted {
+		run.VerifyErr = src.VerifyImage(report, nil)
 	}
-
-	// Pull the enforced-GC duration from the collector's history.
-	hist := vm.Heap.GCHistory()
-	for i := len(hist) - 1; i >= 0; i-- {
-		if st := hist[i]; st.Enforced {
-			run.EnforcedGC = st.Duration
-			break
-		}
-	}
-	run.WorkloadDowntime = report.VMDowntime
-	// Keyed on the EFFECTIVE mode: a run degraded to vanilla pre-copy never
-	// performed the final update and charges neither assisted component.
-	if report.EffectiveMode() == migration.ModeAppAssisted {
-		run.WorkloadDowntime += run.EnforcedGC + report.FinalUpdate
-	}
-
-	run.Attribution = attrib.Build(report, run.EnforcedGC, opts.Ledger)
+	run.EnforcedGC = vm.EnforcedGC()
+	run.WorkloadDowntime = report.WorkloadDowntime(run.EnforcedGC)
+	run.Attribution = attrib.Build(report, run.EnforcedGC, nil)
 	if err := run.Attribution.Reconcile(report); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

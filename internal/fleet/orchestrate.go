@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"javmm/internal/faults"
+	"javmm/internal/guestos"
 	"javmm/internal/mem"
 	"javmm/internal/migration"
 	"javmm/internal/netsim"
@@ -230,11 +231,7 @@ type MoveResult struct {
 	TokenSavedBytes uint64
 
 	src   *migration.Source
-	guest frameChecker
-}
-
-type frameChecker interface {
-	Allocated(mem.PFN) bool
+	guest *guestos.Guest
 }
 
 // SourceRunning reports whether the move's source VM is executing (not
@@ -279,12 +276,9 @@ func (r *PlanResult) detachFaults() {
 	}
 	r.fabric.SetHostFaults(nil)
 	for i := range r.Moves {
-		m := &r.Moves[i]
-		if m.src == nil {
-			continue
+		if m := &r.Moves[i]; m.src != nil {
+			m.src.SetFaults(nil)
 		}
-		m.src.Dest.SetFaults(nil)
-		m.src.LKM.SetFaults(nil)
 	}
 	r.faults = nil
 }
@@ -306,20 +300,13 @@ func (r *PlanResult) ResumeAborted(i int) (*migration.Report, error) {
 	cfg := m.src.Cfg
 	cfg.Faults = nil
 	cfg.Ledger = nil
-	re := &migration.Source{
-		Dom: m.src.Dom, LKM: m.src.LKM, Link: m.src.Link, Clock: r.clock,
-		Dest: m.src.Dest, Cfg: cfg,
-	}
+	re := migration.NewSource(m.guest, nil, m.src.Link, m.src.Dest, cfg)
 	rep, err := re.Resume(m.Report.Recovery.Token)
 	if err != nil {
 		return rep, fmt.Errorf("fleet: resume of %s failed: %w", m.Name, err)
 	}
-	if rep.PostCopy == nil {
-		if verr := migration.VerifyMigration(
-			m.src.Dom.Store(), m.src.Dest.Store, rep.FinalTransfer,
-			m.guest.Allocated); verr != nil {
-			return rep, fmt.Errorf("fleet: resumed %s but image diverged: %w", m.Name, verr)
-		}
+	if verr := re.VerifyImage(rep, nil); verr != nil {
+		return rep, fmt.Errorf("fleet: resumed %s but image diverged: %w", m.Name, verr)
 	}
 	return rep, nil
 }
@@ -404,7 +391,6 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 	vms := make([]*workload.VM, n)
 	execs := make([]migration.GuestExecutor, n)
 	profs := make([]workload.Profile, n)
-	planes := make([]*fleetobs.VMPlane, n)
 	for i, mv := range moves {
 		m := &res.Moves[i]
 		m.From, m.To = mv.From, mv.To
@@ -422,7 +408,6 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 		if coll != nil {
 			plane = coll.AttachVM(mv.VM.Name)
 		}
-		planes[i] = plane
 		vm, err := workload.Boot(workload.BootConfig{
 			Name:     mv.VM.Name,
 			MemBytes: mv.VM.memBytes(),
@@ -456,20 +441,15 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 
 		cfg := opts.Engine
 		cfg.Mode = opts.Mode
+		if opts.Faults != nil {
+			cfg.Faults = opts.Faults
+		}
 		if opts.Retry.Enabled {
 			// Healing retries reuse the abort's ResumeToken; that only saves
 			// anything when aborts keep the destination image.
 			cfg.Recovery.EnableResume = true
 		}
-		if opts.Faults != nil {
-			cfg.Faults = opts.Faults
-			dest.SetFaults(opts.Faults)
-			vm.Guest.LKM.SetFaults(opts.Faults)
-			vm.Guest.Bus.SetFaults(opts.Faults)
-		}
 		if plane != nil {
-			port.SetMetrics(plane.Metrics)
-			dest.SetMetrics(plane.Metrics)
 			cfg.Tracer = plane.Tracer
 			cfg.Metrics = plane.Metrics
 			cfg.Ledger = plane.Ledger
@@ -477,23 +457,11 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 			vmName := mv.VM.Name
 			cfg.OnProgress = func(p migration.Progress) { observe(vmName, p) }
 		}
-		guest := vm.Guest
-		m.src = &migration.Source{
-			Dom:   vm.Dom,
-			LKM:   guest.LKM,
-			Link:  port,
-			Clock: clock,
-			// Exec stays nil: the engine's advance() falls through to
-			// Clock.Advance, a cooperative sleep, and the VM's own guest
-			// process executes the workload meanwhile.
-			Dest: dest,
-			Cfg:  cfg,
-			GuestFree: func(p mem.PFN) bool {
-				return !guest.Frames.Allocated(p)
-			},
-			HintFor: guest.LKM.HintFor,
-		}
-		m.guest = guest.Frames
+		// Exec stays nil: the engine's advance() falls through to
+		// Clock.Advance, a cooperative sleep, and the VM's own guest process
+		// executes the workload meanwhile.
+		m.src = migration.NewSource(vm.Guest, nil, port, dest, cfg)
+		m.guest = vm.Guest
 		m.Name = vm.Dom.Name()
 		vms[i] = vm
 		vmIndex[m.Name] = i
@@ -531,7 +499,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 	pol := &opts.Retry
 	for i := range vms {
 		i := i
-		vm, m, plane := vms[i], &res.Moves[i], planes[i]
+		vm, m := vms[i], &res.Moves[i]
 		engines[i] = sched.Go(vm.Dom.Name()+"/engine", func() {
 			defer func() { remaining-- }()
 			var rng *rand.Rand
@@ -589,24 +557,13 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 					default:
 						m.Outcome = OutcomeCompleted
 					}
-					hist := vm.Heap.GCHistory()
-					for j := len(hist) - 1; j >= 0; j-- {
-						if st := hist[j]; st.Enforced {
-							m.EnforcedGC = st.Duration
-							break
-						}
-					}
-					m.WorkloadDowntime = report.VMDowntime
-					if report.EffectiveMode() == migration.ModeAppAssisted {
-						m.WorkloadDowntime += m.EnforcedGC + report.FinalUpdate
-					}
+					m.EnforcedGC = vm.EnforcedGC()
+					m.WorkloadDowntime = report.WorkloadDowntime(m.EnforcedGC)
 					// Verify NOW, while this process still holds the baton:
 					// no other process has run since the engine finished, so
 					// the source store is exactly what stop-and-copy shipped.
-					if !opts.SkipVerify && report.PostCopy == nil {
-						m.VerifyErr = migration.VerifyMigration(
-							vm.Dom.Store(), m.src.Dest.Store, report.FinalTransfer,
-							m.guest.Allocated)
+					if !opts.SkipVerify {
+						m.VerifyErr = m.src.VerifyImage(report, nil)
 					}
 					return
 				}
@@ -672,15 +629,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 					}
 					ndest := migration.NewDestination(vm.Dom.NumPages())
 					ndest.SetHostName(newTo)
-					if opts.Faults != nil {
-						ndest.SetFaults(opts.Faults)
-					}
-					if plane != nil {
-						port.SetMetrics(plane.Metrics)
-						ndest.SetMetrics(plane.Metrics)
-					}
-					m.src.Link = port
-					m.src.Dest = ndest
+					m.src = migration.NewSource(m.guest, nil, port, ndest, m.src.Cfg)
 					m.To = newTo
 					m.Route = route
 					m.Relocations++

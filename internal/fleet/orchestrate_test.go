@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"javmm/internal/faults"
 	"javmm/internal/migration"
 	"javmm/internal/obs/sla"
 	"javmm/internal/workload"
@@ -347,5 +348,47 @@ func TestOrchestratorCycleAwareQuietLaunches(t *testing.T) {
 	}
 	if quiet == 0 {
 		t.Fatal("no launch used a quiet window")
+	}
+}
+
+// TestResumeAbortedDetachesEveryFaultLayer pins that ResumeAborted runs
+// fault-free on every layer the move's engine wired, the netlink bus
+// included: a loss rule that activates only after the abort must not fire
+// during the resumed handshake.
+func TestResumeAbortedDetachesEveryFaultLayer(t *testing.T) {
+	plan, err := faults.ParsePlan([]string{"dest.crash@500ms", "netlink.loss@1h,count=1000"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Cluster{
+		Hosts: []HostSpec{
+			{Name: "src", RAMBytes: 64 << 30},
+			{Name: "d1", RAMBytes: 64 << 30},
+		},
+		VMs: []VMSpec{{Name: "v0", Host: "src", Workload: "mpeg", MemBytes: 512 << 20}},
+	}
+	res, err := Orchestrate(OrchestratorOptions{
+		Cluster:   c,
+		Moves:     []Move{{VM: c.VMs[0], From: "src", To: "d1"}},
+		Mode:      migration.ModeAppAssisted,
+		Seed:      1,
+		Warmup:    5 * time.Second,
+		Engine:    migration.Config{Recovery: migration.Recovery{EnableResume: true}},
+		FaultPlan: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Moves[0].Err == nil {
+		t.Fatal("the destination crash did not abort the move")
+	}
+	inj := res.faults
+	fired := len(inj.Events())
+	res.clock.Advance(2 * time.Hour)
+	if _, err := res.ResumeAborted(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Events(); len(got) != fired {
+		t.Fatalf("resume with faults detached fired %d more faults: %+v", len(got)-fired, got[fired:])
 	}
 }

@@ -112,21 +112,14 @@ type Config struct {
 	// alternative design).
 	ConservativeLastIter bool
 
-	// OnIteration, if non-nil, is invoked after each completed iteration
-	// with its statistics — live progress for tools (like `xl migrate`'s
-	// console output). It is the legacy form of the event bus below: with a
-	// Tracer configured the engine registers OnIteration as a subscription
-	// to the obs.KindIterationStats events it emits, so both surfaces see
-	// identical data.
-	OnIteration func(IterationStats)
-
 	// OnProgress, if non-nil, receives the live progress stream: a typed
 	// Progress point at every lifecycle transition (start, each pre-copy
 	// round, prepare, stop-and-copy, post-copy switchover, done/aborted)
 	// carrying cumulative pages/bytes, the outstanding estimate, observed
-	// dirty/transfer rates and the clamped ETA. Like OnIteration it rides
-	// the event bus when a Tracer is configured (obs.KindProgress instants),
-	// so both surfaces see identical data.
+	// dirty/transfer rates and the clamped ETA. With a Tracer configured it
+	// rides the event bus (obs.KindProgress instants), so it sees exactly
+	// what every other subscriber sees. Per-iteration statistics reach
+	// callers only as a bus subscription to obs.KindIterationStats events.
 	OnProgress func(Progress)
 
 	// Tracer, if non-nil, receives the engine's structured trace: a span

@@ -49,12 +49,16 @@ type Source struct {
 	Dest  *Destination
 	Cfg   Config
 	// GuestFree reports whether a frame is on the guest kernel's free list;
-	// required when Cfg.SkipFreePages is set (typically
-	// guest.Frames.Allocated negated).
+	// required when Cfg.SkipFreePages is set (NewSource binds the guest's
+	// frame allocator, negated).
 	GuestFree func(p mem.PFN) bool
 	// HintFor returns a page's compression hint (guestos.Hint*); required
-	// when Cfg.HintedCompression is set (typically the LKM's HintFor).
+	// when Cfg.HintedCompression is set (NewSource binds the LKM's HintFor).
 	HintFor func(p mem.PFN) uint8
+	// guest is the guest NewSource wired the run from (nil for a Source
+	// built field by field): SetFaults reaches its netlink bus through it,
+	// and VerifyImage its frame allocator.
+	guest *guestos.Guest
 
 	// mutable state during one migration
 	report    *Report
@@ -219,17 +223,6 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	s.Cfg.Ledger.Begin(s.Dom.NumPages())
 	s.beginRecovery()
 
-	// The legacy OnIteration callback rides the event bus: when a tracer is
-	// configured it becomes a subscription to the per-iteration stats
-	// events, seeing exactly the data every other subscriber sees.
-	if s.Cfg.OnIteration != nil && s.Cfg.Tracer != nil {
-		cancel := s.Cfg.Tracer.Subscribe(func(e obs.Event) {
-			if st, ok := e.Data.(IterationStats); ok {
-				s.Cfg.OnIteration(st)
-			}
-		})
-		defer cancel()
-	}
 	cancelProgress := s.subscribeProgress()
 	defer cancelProgress()
 	runSpan := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindMigration,
@@ -464,8 +457,7 @@ func iterationName(index int, last bool) string {
 	return fmt.Sprintf("iteration %d", index)
 }
 
-// notifyIteration streams a completed iteration to the event bus (which
-// carries the OnIteration subscription when a tracer is configured) and
+// notifyIteration streams a completed iteration to the event bus and
 // accumulates the iteration's counters. Every iteration appended to the
 // report passes through here exactly once, so the counters reconcile with
 // the report's sums.
@@ -482,8 +474,6 @@ func (s *Source) notifyIteration(st IterationStats) {
 			obs.Uint64("pages_skipped_bitmap", st.PagesSkippedBitmap),
 			obs.Uint64("pages_skipped_free", st.PagesSkippedFree),
 			obs.Uint64("pages_dirtied_during", st.PagesDirtiedDuring))
-	} else if s.Cfg.OnIteration != nil {
-		s.Cfg.OnIteration(st)
 	}
 	// Each iteration also yields a progress point: the pages dirtied while a
 	// live round ran are exactly the next round's workload, so they are the

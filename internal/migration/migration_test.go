@@ -8,6 +8,7 @@ import (
 	"javmm/internal/hypervisor"
 	"javmm/internal/mem"
 	"javmm/internal/netsim"
+	"javmm/internal/obs"
 	"javmm/internal/simclock"
 )
 
@@ -601,14 +602,16 @@ func TestVerifyMigrationDetectsDivergence(t *testing.T) {
 	}
 }
 
-func TestOnIterationStreamsProgress(t *testing.T) {
+func TestIterationStatsStreamOnEventBus(t *testing.T) {
 	r := newRig(2048, 50*1000*1000)
+	tr := obs.New(r.clock)
 	var seen []IterationStats
-	cfg := Config{
-		Mode:        ModeVanilla,
-		OnIteration: func(st IterationStats) { seen = append(seen, st) },
-	}
-	rep, err := r.source(cfg, nil).Migrate()
+	tr.Subscribe(func(e obs.Event) {
+		if st, ok := e.Data.(IterationStats); ok {
+			seen = append(seen, st)
+		}
+	})
+	rep, err := r.source(Config{Mode: ModeVanilla, Tracer: tr}, nil).Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,8 +619,8 @@ func TestOnIterationStreamsProgress(t *testing.T) {
 		t.Fatalf("streamed %d iterations, report has %d", len(seen), len(rep.Iterations))
 	}
 	for i := range seen {
-		if seen[i].Index != rep.Iterations[i].Index {
-			t.Fatal("streamed iterations out of order")
+		if seen[i] != rep.Iterations[i] {
+			t.Fatalf("streamed iteration %d = %+v, report has %+v", i, seen[i], rep.Iterations[i])
 		}
 	}
 	if !seen[len(seen)-1].Last {

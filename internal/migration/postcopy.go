@@ -88,14 +88,6 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 	pc := &PostCopyStats{}
 	s.report.PostCopy = pc
 
-	if s.Cfg.OnIteration != nil && s.Cfg.Tracer != nil {
-		cancel := s.Cfg.Tracer.Subscribe(func(e obs.Event) {
-			if st, ok := e.Data.(IterationStats); ok {
-				s.Cfg.OnIteration(st)
-			}
-		})
-		defer cancel()
-	}
 	cancelProgress := s.subscribeProgress()
 	defer cancelProgress()
 	start := s.Clock.Now()

@@ -136,8 +136,8 @@ func (s *Source) emitProgress(phase ProgressPhase, iter int, pagesRemaining uint
 }
 
 // subscribeProgress wires Cfg.OnProgress onto the event bus when a tracer is
-// configured, exactly like the OnIteration subscription: the callback sees
-// the same typed payloads every other subscriber sees. The returned cancel
+// configured: the callback sees the same typed payloads every other
+// subscriber sees. The returned cancel
 // is a no-op when no subscription was needed.
 func (s *Source) subscribeProgress() (cancel func()) {
 	if s.Cfg.OnProgress == nil || s.Cfg.Tracer == nil {

@@ -96,31 +96,30 @@ type Attribution struct {
 // duration of the pre-suspension collection (zero when none ran); led may be
 // nil or inactive, in which case the per-reason breakdown is absent.
 //
-// The downtime model mirrors the public API's WorkloadDowntime formula: the
-// VM-paused window always splits into StopAndCopy and Resumption, and JAVMM
-// runs additionally charge the enforced GC and the final bitmap update —
+// The total is the Report's WorkloadDowntime formula; Build only splits it:
+// the VM-paused window always into StopAndCopy and Resumption, and JAVMM
+// runs additionally into the enforced GC and the final bitmap update —
 // work the guest performs while nominally running, but which the workload
 // experiences as downtime (paper §5.3).
 func Build(r *migration.Report, enforcedGC time.Duration, led *ledger.Ledger) *Attribution {
 	a := &Attribution{
-		Mode:          r.Mode,
-		EffectiveMode: r.EffectiveMode(),
-		VMDowntime:    r.VMDowntime,
-		Resumption:    r.Resumption,
-		TotalBytes:    r.TotalBytes(),
-		TotalPages:    r.TotalPagesSent,
+		Mode:             r.Mode,
+		EffectiveMode:    r.EffectiveMode(),
+		VMDowntime:       r.VMDowntime,
+		Resumption:       r.Resumption,
+		WorkloadDowntime: r.WorkloadDowntime(enforcedGC),
+		TotalBytes:       r.TotalBytes(),
+		TotalPages:       r.TotalPagesSent,
 	}
 	a.StopAndCopy = r.VMDowntime - r.Resumption
-	a.WorkloadDowntime = r.VMDowntime
-	// The assisted-mode downtime components are keyed on the EFFECTIVE mode:
-	// a run degraded to vanilla pre-copy never performed the final bitmap
-	// update, and its enforced GC (if one ran before the downgrade) was paid
-	// while the guest workflow was still live — vanilla semantics charge
-	// neither (paper §4.2).
+	// The assisted-mode components are keyed on the EFFECTIVE mode, as the
+	// total is: a run degraded to vanilla pre-copy never performed the final
+	// bitmap update, and its enforced GC (if one ran before the downgrade)
+	// was paid while the guest workflow was still live — vanilla semantics
+	// charge neither (paper §4.2).
 	if a.EffectiveMode == migration.ModeAppAssisted {
 		a.EnforcedGC = enforcedGC
 		a.FinalUpdate = r.FinalUpdate
-		a.WorkloadDowntime += enforcedGC + r.FinalUpdate
 	}
 	if pc := r.PostCopy; pc != nil {
 		a.FaultStall = pc.FaultStall

@@ -12,8 +12,8 @@
 // Producers (the migration engine, the LKM, the JVM, the workload driver,
 // the network link) emit through nil-safe methods, so instrumented code
 // needs no guards: a nil *Tracer or *Metrics swallows every call. Consumers
-// either subscribe in-process (Tracer.Subscribe — the generalization of the
-// engine's old OnIteration callback) or export the recorded events with
+// either subscribe in-process (Tracer.Subscribe — the only way the engine
+// streams per-iteration statistics) or export the recorded events with
 // WriteJSONL / WriteChromeTrace after the run.
 package obs
 
@@ -36,7 +36,7 @@ const (
 	KindIteration Kind = "migration.iteration"
 	// KindIterationStats is the instant event carrying a completed
 	// iteration's statistics; its Data payload is the engine's
-	// IterationStats value (the event-bus form of Config.OnIteration).
+	// IterationStats value.
 	KindIterationStats Kind = "migration.iteration.stats"
 	// KindChunk spans one page-chunk push through the link.
 	KindChunk Kind = "migration.chunk"

@@ -682,7 +682,7 @@ func (r *Result) ResumeToken() *ResumeToken {
 // combined result. The VM keeps running (at "the destination") afterwards
 // and can be migrated again.
 func Migrate(vm *VM, opts MigrateOptions) (*Result, error) {
-	return runMigration(vm, opts, nil, nil)
+	return runMigration(vm.Guest, vm, opts, nil, nil, nil)
 }
 
 // Resume continues an aborted migration from the token its abort minted
@@ -700,13 +700,16 @@ func Resume(vm *VM, prior *Result, opts MigrateOptions) (*Result, error) {
 	}
 	tok := prior.Report.Recovery.Token
 	opts.Mode = tok.Mode
-	return runMigration(vm, opts, prior.Destination, tok)
+	return runMigration(vm.Guest, vm, opts, prior.Destination, tok, nil)
 }
 
-// runMigration is the shared plumbing behind Migrate and Resume: wire the
-// link, destination, fault plane and observability onto a fresh Source, run
-// it, and fold the guest-side observations into the Result.
-func runMigration(vm *VM, opts MigrateOptions, dest *migration.Destination, tok *migration.ResumeToken) (*Result, error) {
+// runMigration is the one body behind Migrate, Resume and MigrateCustom:
+// attach observability and faults, build the run with migration.NewSource,
+// run it (from tok when resuming into dest), and fold the guest-side
+// observations into the Result. vm is nil for a custom guest, which has no
+// collector and no workload driver; required refines its verification.
+func runMigration(g *Guest, vm *VM, opts MigrateOptions, dest *migration.Destination,
+	tok *migration.ResumeToken, required func(mem.PFN) bool) (*Result, error) {
 	if opts.Bandwidth == 0 {
 		opts.Bandwidth = GigabitEthernet
 	}
@@ -728,31 +731,21 @@ func runMigration(vm *VM, opts MigrateOptions, dest *migration.Destination, tok 
 		cfg.Faults = opts.Faults
 		opts.Faults.SetObs(cfg.Tracer, cfg.Metrics)
 	}
-	vm.AttachObs(cfg.Tracer, cfg.Metrics)
-
 	exec := opts.Executor
-	if exec == nil {
-		exec = vm.Driver
+	if vm != nil {
+		vm.AttachObs(cfg.Tracer, cfg.Metrics)
+		if exec == nil {
+			exec = vm.Driver
+		}
+	} else {
+		g.LKM.SetObs(cfg.Tracer, cfg.Metrics)
+		g.Bus.SetTracer(cfg.Tracer)
 	}
-	link := netsim.NewLink(vm.Clock, opts.Bandwidth, opts.Latency)
-	link.SetMetrics(cfg.Metrics)
-	link.SetFaults(opts.Faults)
 	if dest == nil {
-		dest = migration.NewDestination(vm.Dom.NumPages())
+		dest = migration.NewDestination(g.Dom.NumPages())
 	}
-	dest.SetMetrics(cfg.Metrics)
-	dest.SetFaults(opts.Faults)
-	vm.Guest.LKM.SetFaults(opts.Faults)
-	vm.Guest.Bus.SetFaults(opts.Faults)
-	src := &migration.Source{
-		Dom:   vm.Dom,
-		LKM:   vm.Guest.LKM,
-		Link:  link,
-		Clock: vm.Clock,
-		Exec:  exec,
-		Dest:  dest,
-		Cfg:   cfg,
-	}
+	link := netsim.NewLink(g.Dom.Clock(), opts.Bandwidth, opts.Latency)
+	src := migration.NewSource(g, exec, link, dest, cfg)
 	var report *migration.Report
 	var err error
 	if tok != nil {
@@ -769,33 +762,16 @@ func runMigration(vm *VM, opts MigrateOptions, dest *migration.Destination, tok 
 		}
 		return nil, err
 	}
-	if vm.Driver.Err != nil {
-		return nil, fmt.Errorf("javmm: workload failed during migration: %w", vm.Driver.Err)
-	}
 	res := &Result{Report: report, Destination: dest}
-	hist := vm.Heap.GCHistory()
-	for i := len(hist) - 1; i >= 0; i-- {
-		if st := hist[i]; st.Enforced {
-			res.EnforcedGC = st.Duration
-			break
+	if vm != nil {
+		if vm.Driver.Err != nil {
+			return nil, fmt.Errorf("javmm: workload failed during migration: %w", vm.Driver.Err)
 		}
+		res.EnforcedGC = vm.EnforcedGC()
 	}
-	res.WorkloadDowntime = report.VMDowntime
-	// Keyed on the EFFECTIVE mode: a run degraded to vanilla pre-copy never
-	// performed the final update, and its workload downtime is plain
-	// stop-and-copy plus resumption.
-	if report.EffectiveMode() == ModeJAVMM {
-		res.WorkloadDowntime += res.EnforcedGC + report.FinalUpdate
-	}
-	// Store-equality verification only applies to runs that finish at VM
-	// pause; after a post-copy switchover the guest keeps dirtying pages
-	// while the remainder streams over, so the invariant is residency
-	// (every page fetched at its final version), checked by the engine's
-	// demand-fetch path itself.
-	if !opts.SkipVerify && report.PostCopy == nil {
-		res.VerifyErr = migration.VerifyMigration(
-			vm.Dom.Store(), dest.Store, report.FinalTransfer,
-			func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
+	res.WorkloadDowntime = report.WorkloadDowntime(res.EnforcedGC)
+	if !opts.SkipVerify {
+		res.VerifyErr = src.VerifyImage(report, required)
 	}
 	return res, nil
 }
@@ -861,21 +837,6 @@ func BenchDeterministic(res *Result) DeterministicMetrics {
 // PostCopyStats describes a post-copy migration's demand-fault behaviour.
 type PostCopyStats = migration.PostCopyStats
 
-// MigratePostCopy migrates the VM post-copy style (related work, §2 of the
-// paper): minimal downtime by construction, but the resumed VM stalls on
-// demand faults until its working set arrives. Store-equality verification
-// does not apply — after switchover the VM's memory IS the destination
-// memory; the returned Result carries the fault statistics instead. It is a
-// convenience wrapper over Migrate with Mode set to ModePostCopy.
-func MigratePostCopy(vm *VM, opts MigrateOptions) (*Result, *PostCopyStats, error) {
-	opts.Mode = ModePostCopy
-	res, err := Migrate(vm, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Report.PostCopy, nil
-}
-
 // ReplicationReport summarizes a continuous-checkpointing run.
 type ReplicationReport = replication.Report
 
@@ -932,68 +893,12 @@ func NewCacheVM(memBytes, cacheBytes uint64, assisted bool) (*CacheApp, *Guest, 
 // CacheApp, or an application built directly on the framework). required, if
 // non-nil, refines the verification predicate: return false for pages whose
 // content is legitimately meaningless at the destination (freed frames are
-// always exempt).
+// always exempt). A custom guest has no collector, so the Result carries no
+// EnforcedGC; an assisted run's WorkloadDowntime still charges the final
+// bitmap update.
 func MigrateCustom(g *Guest, exec GuestExecutor, opts MigrateOptions, required func(p mem.PFN) bool) (*Result, error) {
-	if opts.Bandwidth == 0 {
-		opts.Bandwidth = GigabitEthernet
-	}
-	if opts.Latency == 0 {
-		opts.Latency = 100 * time.Microsecond
-	}
-	cfg := opts.Engine
-	cfg.Mode = opts.Mode
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
-	}
-	if opts.Metrics != nil {
-		cfg.Metrics = opts.Metrics
-	}
-	if opts.Ledger != nil {
-		cfg.Ledger = opts.Ledger
-	}
-	if opts.Faults != nil {
-		cfg.Faults = opts.Faults
-		opts.Faults.SetObs(cfg.Tracer, cfg.Metrics)
-	}
-	g.LKM.SetObs(cfg.Tracer, cfg.Metrics)
-	g.Bus.SetTracer(cfg.Tracer)
-	g.LKM.SetFaults(opts.Faults)
-	g.Bus.SetFaults(opts.Faults)
-
-	link := netsim.NewLink(g.Dom.Clock(), opts.Bandwidth, opts.Latency)
-	link.SetMetrics(cfg.Metrics)
-	link.SetFaults(opts.Faults)
-	dest := migration.NewDestination(g.Dom.NumPages())
-	dest.SetMetrics(cfg.Metrics)
-	dest.SetFaults(opts.Faults)
-	src := &migration.Source{
-		Dom:   g.Dom,
-		LKM:   g.LKM,
-		Link:  link,
-		Clock: g.Dom.Clock(),
-		Exec:  exec,
-		Dest:  dest,
-		Cfg:   cfg,
-	}
-	report, err := src.Migrate()
-	if err != nil {
-		if report != nil {
-			return &Result{Report: report, Destination: dest}, err
-		}
-		return nil, err
-	}
-	res := &Result{Report: report, Destination: dest, WorkloadDowntime: report.VMDowntime}
-	if !opts.SkipVerify && report.PostCopy == nil {
-		res.VerifyErr = migration.VerifyMigration(
-			g.Dom.Store(), dest.Store, report.FinalTransfer,
-			func(p mem.PFN) bool {
-				if !g.Frames.Allocated(p) {
-					return false
-				}
-				return required == nil || required(p)
-			})
-	}
-	return res, nil
+	opts.Executor = exec
+	return runMigration(g, nil, opts, nil, nil, required)
 }
 
 // PFN re-exports the page frame number type for verification predicates.

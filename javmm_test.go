@@ -173,12 +173,12 @@ func TestPublicAPIFasterLink(t *testing.T) {
 
 func TestPublicAPIPostCopy(t *testing.T) {
 	vm := bootDerby(t, false)
-	res, pc, err := javmm.MigratePostCopy(vm, javmm.MigrateOptions{})
+	res, err := javmm.Migrate(vm, javmm.MigrateOptions{Mode: javmm.ModePostCopy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc == nil || pc.Faults == 0 {
-		t.Fatalf("post-copy stats = %+v", pc)
+	if pc := res.PostCopy; pc == nil || pc.Faults == 0 {
+		t.Fatalf("post-copy stats = %+v", res.PostCopy)
 	}
 	// Post-copy downtime is far below pre-copy's for this workload.
 	if res.VMDowntime > time.Second {
@@ -189,6 +189,51 @@ func TestPublicAPIPostCopy(t *testing.T) {
 	vm.Driver.Run(5 * time.Second)
 	if vm.Driver.TotalOps <= before {
 		t.Fatal("VM not running after post-copy")
+	}
+}
+
+// TestMigrateHonoursGuestEngineHooks pins that Migrate binds the guest's
+// free list and the agent's compression hints whenever the engine options
+// read them: SkipFreePages must skip free frames, and HintedCompression must
+// move fewer bytes than Compress alone.
+func TestMigrateHonoursGuestEngineHooks(t *testing.T) {
+	prof, err := javmm.Workload("derby")
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrate := func(mode javmm.Mode, engine javmm.EngineConfig) *javmm.Result {
+		t.Helper()
+		vm, err := javmm.BootVM(javmm.BootConfig{
+			MemBytes: 2 << 30, Profile: prof, Seed: 3,
+			Assisted: mode == javmm.ModeJAVMM, AgentHints: mode == javmm.ModeJAVMM,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.Driver.Run(20 * time.Second)
+		res, err := javmm.Migrate(vm, javmm.MigrateOptions{Mode: mode, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VerifyErr != nil {
+			t.Fatal(res.VerifyErr)
+		}
+		return res
+	}
+
+	var free uint64
+	for _, it := range migrate(javmm.ModeXen, javmm.EngineConfig{SkipFreePages: true}).Iterations {
+		free += it.PagesSkippedFree
+	}
+	if free == 0 {
+		t.Fatal("SkipFreePages skipped no free pages: the guest's free list is not bound")
+	}
+
+	plain := migrate(javmm.ModeJAVMM, javmm.EngineConfig{Compress: true}).TotalBytes()
+	hinted := migrate(javmm.ModeJAVMM, javmm.EngineConfig{Compress: true, HintedCompression: true}).TotalBytes()
+	if hinted >= plain {
+		t.Fatalf("hinted compression moved %d bytes, Compress alone %d: the agent's hints are not bound",
+			hinted, plain)
 	}
 }
 

@@ -200,10 +200,19 @@ func loadLKM(g *Guest, cfg LKMConfig) *LKM {
 func (l *LKM) DaemonEndpoint() *hypervisor.Endpoint { return l.ec.Daemon() }
 
 // DaemonProtocol adapts the LKM's five-state workflow (Figure 4) to the
-// migration engine's SuspensionProtocol stage: the daemon-side half of the
+// migration engine's suspension-protocol stage: the daemon-side half of the
 // event-channel handshake, packaged so the engine needs no knowledge of the
-// LKM's event types. One value serves one migration; Protocol() returns a
-// fresh adapter each time.
+// LKM's event types. The engine calls it at these points:
+//
+//	Begin          migration starts; returns the transfer bitmap
+//	EnterLastIter  pre-copy converged; guest should prepare for suspension
+//	Ready          polled while the engine waits for suspension-readiness
+//	Outcome        final-update duration and fallback count, once Ready
+//	Resumed        VM resumed at the destination
+//	Aborted        migration cancelled or degraded; guest returns to normal
+//
+// One value serves one migration; Protocol() returns a fresh adapter each
+// time.
 type DaemonProtocol struct {
 	lkm   *LKM
 	ep    *hypervisor.Endpoint
@@ -211,8 +220,7 @@ type DaemonProtocol struct {
 	ev    EvSuspensionReady
 }
 
-// Protocol returns the LKM's suspension protocol for one migration. The
-// returned value structurally satisfies migration.SuspensionProtocol.
+// Protocol returns the LKM's suspension protocol for one migration.
 func (l *LKM) Protocol() *DaemonProtocol {
 	return &DaemonProtocol{lkm: l, ep: l.DaemonEndpoint()}
 }

@@ -145,7 +145,7 @@ func newScanRig(seed int64, chunkPages uint64) *scanRig {
 	s.Cfg.Ledger.Begin(n)
 	s.report = &Report{}
 	s.skippedEver = randomBitmap(rng, n)
-	s.skip = freeSkip{next: bitmapSkip{transfer: g.transfer}, free: g.free.Test}
+	s.skip = pageSkip{transfer: g.transfer, free: g.free.Test}
 	s.codec = r.codec
 	s.sink = r.sink
 	s.chunk.reserve(dom, chunkPages)

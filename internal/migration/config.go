@@ -142,12 +142,13 @@ type Config struct {
 	// reconcile exactly with the Report (attrib.Build checks this).
 	Ledger *ledger.Ledger
 
-	// Perf, if non-nil, is the real-clock stage profiler: every bound stage
-	// is wrapped so its wall time and allocations are attributed to the
-	// perf.Stage taxonomy (see perfstages.go). Unlike Tracer/Metrics/Ledger,
-	// which run on the virtual clock and are part of the deterministic
-	// contract, Perf measures the simulator itself and MUST NOT change any
-	// report — the bench harness asserts that transparency every run.
+	// Perf, if non-nil, is the real-clock stage profiler: the engine
+	// brackets every stage call with Perf.Enter/Exit, so its wall time and
+	// allocations are attributed to the perf.Stage taxonomy. Unlike
+	// Tracer/Metrics/Ledger, which run on the virtual clock and are part of
+	// the deterministic contract, Perf measures the simulator itself and
+	// MUST NOT change any report — the bench harness asserts that
+	// transparency every run.
 	Perf *perf.Profiler
 
 	// SkipFreePages enables the OS-assisted baseline of Koto et al.

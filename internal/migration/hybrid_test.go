@@ -16,13 +16,13 @@ import (
 // masquerade as a missing destination.
 func TestPostCopyNilSourceDomain(t *testing.T) {
 	r := newRig(64, 1000)
-	src := r.source(Config{}, nil)
+	src := r.source(Config{Mode: ModePostCopy}, nil)
 	src.Dom = nil
-	_, err := src.MigratePostCopy()
+	_, err := src.Migrate()
 	if !errors.Is(err, ErrNoSource) {
 		t.Fatalf("nil source domain: err = %v, want ErrNoSource", err)
 	}
-	if _, err := (&Source{}).MigrateHybrid(); !errors.Is(err, ErrNoSource) {
+	if _, err := (&Source{Cfg: Config{Mode: ModeHybrid}}).Migrate(); !errors.Is(err, ErrNoSource) {
 		t.Fatalf("hybrid nil source domain: err = %v, want ErrNoSource", err)
 	}
 }
@@ -107,14 +107,14 @@ func TestHybridShortensDegradationTail(t *testing.T) {
 
 	post := newRig(8192, 20*1000*1000)
 	scPost := newScribbler(post.guest, post.clock, hot, 20000)
-	postRep, err := post.source(Config{}, scPost).MigratePostCopy()
+	postRep, err := post.source(Config{Mode: ModePostCopy}, scPost).Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	hyb := newRig(8192, 20*1000*1000)
 	scHyb := newScribbler(hyb.guest, hyb.clock, hot, 20000)
-	hybRep, err := hyb.source(Config{}, scHyb).MigrateHybrid()
+	hybRep, err := hyb.source(Config{Mode: ModeHybrid}, scHyb).Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}

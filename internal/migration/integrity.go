@@ -279,7 +279,9 @@ func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 		for _, p := range bad {
 			s.exportBuf = store.AppendExport(s.exportBuf[:0], p)
 			payload := s.exportBuf
+			s.Cfg.Perf.Enter(perf.StageWireCodec)
 			w, encodeCPU := s.codec.Encode(p, rawWire)
+			s.Cfg.Perf.Exit()
 			var d time.Duration
 			send := func() error {
 				var err error

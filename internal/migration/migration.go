@@ -19,8 +19,11 @@
 // transfer bit is cleared, coordinates the pre-suspension handshake with the
 // in-guest LKM, and charges the final bitmap update to downtime.
 //
-// The engine itself is a thin orchestrator over the stages of stages.go (SkipPolicy, WireCodec, StopPolicy, SuspensionProtocol,
-// PageSink); every Mode is a composition of stage implementations.
+// The engine itself is a thin orchestrator over the five stages of
+// stages.go: page skipping, wire encoding, the stop decision, the guest's
+// suspension protocol and the page sink. Every Mode is a composition of
+// them, and every stage call is bracketed with Cfg.Perf.Enter/Exit so the
+// real-clock profiler attributes the simulator's own time per stage.
 package migration
 
 import (
@@ -36,6 +39,7 @@ import (
 	"javmm/internal/netsim"
 	"javmm/internal/obs"
 	"javmm/internal/obs/ledger"
+	"javmm/internal/obs/perf"
 	"javmm/internal/simclock"
 )
 
@@ -76,11 +80,12 @@ type Source struct {
 	skippedEver    *mem.Bitmap
 	degradePending *mem.Bitmap
 
-	// stages bound for the current run
-	skip  SkipPolicy
+	// stages bound for the current run; proto is nil without a suspension
+	// protocol (vanilla runs, and assisted runs once degraded)
+	skip  pageSkip
 	codec WireCodec
-	stop  StopPolicy
-	proto SuspensionProtocol
+	stop  xenStop
+	proto *guestos.DaemonProtocol
 	sink  PageSink
 	// residentTrack, when non-nil, records every page the sink receives —
 	// the hybrid engine's warm phase uses it to seed post-copy residency.
@@ -165,16 +170,18 @@ var (
 	ErrSuspensionTimeout = errors.New("migration: guest never became suspension-ready")
 )
 
-// Migrate runs the migration selected by Cfg.Mode and returns its report.
-// The source domain is left unpaused ("resumed at the destination"): in this
-// simulator the domain object represents the VM wherever it runs, while Dest
-// holds the destination host's copy of its memory for verification.
+// Migrate runs the migration selected by Cfg.Mode and returns its report:
+// iterative pre-copy for ModeVanilla and ModeAppAssisted, the lazy engine
+// for ModePostCopy and ModeHybrid (with Report.PostCopy set). The source
+// domain is left unpaused ("resumed at the destination"): in this simulator
+// the domain object represents the VM wherever it runs, while Dest holds
+// the destination host's copy of its memory for verification.
 func (s *Source) Migrate() (*Report, error) {
 	switch s.Cfg.Mode {
 	case ModePostCopy:
-		return s.MigratePostCopy()
+		return s.migrateLazy(false)
 	case ModeHybrid:
-		return s.MigrateHybrid()
+		return s.migrateLazy(true)
 	}
 	return s.migratePreCopy()
 }
@@ -241,10 +248,10 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	s.proto = nil
 	var transfer *mem.Bitmap
 	if s.Cfg.Mode == ModeAppAssisted {
-		// Wrap before Begin so the whole handshake, first call included, is
-		// attributed to the suspension-protocol stage.
-		s.proto = profileProto(s.LKM.Protocol(), s.Cfg.Perf)
+		s.proto = s.LKM.Protocol()
+		s.Cfg.Perf.Enter(perf.StageSuspension)
 		transfer = s.proto.Begin()
+		s.Cfg.Perf.Exit()
 	}
 	s.bindStages(transfer)
 	s.beginIntegrity()
@@ -305,7 +312,7 @@ func (s *Source) migratePreCopy() (*Report, error) {
 			if s.aborted {
 				return abort()
 			}
-			if s.stop.Stop(iter, st, s.sentBytes, s.Dom.MemoryBytes()) {
+			if s.stopNow(iter, st) {
 				break
 			}
 			newRound()
@@ -326,7 +333,9 @@ func (s *Source) migratePreCopy() (*Report, error) {
 		// recorded tracer misuse, so no backstop defer).
 		prepSpan := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindPrepare, "prepare-suspension")
 		s.emitProgress(ProgressPrepare, iter, 0, 0, 0)
+		s.Cfg.Perf.Enter(perf.StageSuspension)
 		s.proto.EnterLastIter()
+		s.Cfg.Perf.Exit()
 		iter++
 		newRound()
 		st := s.runIteration(iter, toSend, false)
@@ -340,7 +349,13 @@ func (s *Source) migratePreCopy() (*Report, error) {
 		// vanilla pre-copy (§4.2): a wedged handshake must not wedge the VM.
 		waitDeadline := s.Clock.Now() + s.Cfg.SuspensionBackstop
 		timedOut := false
-		for !s.proto.Ready() {
+		for {
+			s.Cfg.Perf.Enter(perf.StageSuspension)
+			ready := s.proto.Ready()
+			s.Cfg.Perf.Exit()
+			if ready {
+				break
+			}
 			if s.cancelRequested() {
 				prepSpan.End()
 				return abort()
@@ -373,7 +388,9 @@ func (s *Source) migratePreCopy() (*Report, error) {
 			toSend.Or(s.degradePending)
 			continue
 		}
+		s.Cfg.Perf.Enter(perf.StageSuspension)
 		s.report.FinalUpdate, s.report.Fallbacks = s.proto.Outcome()
+		s.Cfg.Perf.Exit()
 		// The final bitmap update runs with applications held; charge its
 		// (sub-millisecond) cost before pausing the VM.
 		fuSpan := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindFinalUpdate, "final-update")
@@ -385,7 +402,9 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	}
 
 	// Stop-and-copy.
+	s.Cfg.Perf.Enter(perf.StageSkipPolicy)
 	s.report.FinalTransfer = s.skip.FinalTransfer(n)
+	s.Cfg.Perf.Exit()
 	s.Dom.Pause()
 	s.Cfg.Tracer.Emit(obs.TrackMigration, obs.KindSuspend, "vm-suspend", nil)
 	pausedSpan := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindVMPaused, "vm-paused")
@@ -442,11 +461,21 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	s.emitProgress(ProgressDone, iter, 0, 0, 0)
 
 	if s.proto != nil {
+		s.Cfg.Perf.Enter(perf.StageSuspension)
 		s.proto.Resumed()
+		s.Cfg.Perf.Exit()
 	}
 
 	s.report.TotalTime = s.Clock.Now() - start
 	return s.report, nil
+}
+
+// stopNow is the stop decision after live iteration iter, which produced st.
+func (s *Source) stopNow(iter int, st IterationStats) bool {
+	s.Cfg.Perf.Enter(perf.StageStopPolicy)
+	stop := s.stop.Stop(iter, st, s.sentBytes, s.Dom.MemoryBytes())
+	s.Cfg.Perf.Exit()
+	return stop
 }
 
 // iterationName labels an iteration in traces and progress output.
@@ -543,8 +572,8 @@ func (s *Source) sendBulk(n uint64) (d time.Duration, elapsed bool, err error) {
 
 // runIteration scans the to-send set once, a bitmap word at a time,
 // pushing transferable pages to the sink in chunks and interleaving guest
-// execution. The skip policy and wire codec bound for this run decide what
-// moves and at what cost.
+// execution. The skip and codec stages bound for this run decide what moves
+// and at what cost.
 //
 // Guest state changes only while a chunk is flushed (the guest runs during
 // the transfer and any retry backoff), so one skip and dirty classification
@@ -578,7 +607,9 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 	for wi := 0; wi < toSend.NumWords() && !s.aborted; wi++ {
 		base := mem.PFN(wi) << 6
 		for rest := toSend.Word(wi); rest != 0 && !s.aborted; {
+			s.Cfg.Perf.Enter(perf.StageSkipPolicy)
 			bm, free := s.skip.Skip(wi, rest)
+			s.Cfg.Perf.Exit()
 			var dirty uint64
 			if !last {
 				// Already re-dirtied this round: sending now would be
@@ -625,7 +656,9 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 			// three keep reconciling even on an aborted run.
 			for ; send != 0; send &= send - 1 {
 				p := base + mem.PFN(bits.TrailingZeros64(send))
+				s.Cfg.Perf.Enter(perf.StageWireCodec)
 				w, encodeCPU := s.codec.Encode(p, rawWire)
+				s.Cfg.Perf.Exit()
 				s.report.CPUTime += encodeCPU
 				c.pfns = append(c.pfns, p)
 				c.wires = append(c.wires, w)
@@ -716,7 +749,9 @@ func (s *Source) deliverChunk() (int, error) {
 	}
 	landed := 0
 	for {
+		s.Cfg.Perf.Enter(perf.StagePageSink)
 		k, err := s.sink.ReceivePages(c.pfns[landed:], c.payloads[landed*c.stride:])
+		s.Cfg.Perf.Exit()
 		s.recordExpectedRun(c.pfns[landed:landed+k], c.payloads[landed*c.stride:], c.stride)
 		landed += k
 		if err == nil {

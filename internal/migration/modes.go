@@ -3,7 +3,7 @@ package migration
 import "fmt"
 
 // Mode selects the migration engine. The engines are compositions of the
-// stage interfaces in stages.go: the pre-copy orchestrator (ModeVanilla,
+// stages in stages.go: the pre-copy orchestrator (ModeVanilla,
 // ModeAppAssisted), the lazy post-switchover engine (ModePostCopy), and the
 // hybrid of the two (ModeHybrid).
 type Mode int

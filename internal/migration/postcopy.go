@@ -24,10 +24,12 @@ import (
 // over all memory pages ... incurring performance penalties" — is exactly
 // what the X8 ablation measures against JAVMM.
 //
-// ModeHybrid composes the stages of both engines: a bounded pre-copy warm
-// phase (runIteration with a warmStop policy) seeds residency, then the same
-// switchover and demand-fetch machinery finishes the job on the pages that
-// were never sent or were re-dirtied after their last send.
+// ModeHybrid composes the stages of both engines: a pre-copy warm phase of
+// at most Cfg.HybridWarmIterations rounds (runIteration, stopping earlier
+// if xenStop finds it converged) seeds residency, then the same switchover
+// and demand-fetch machinery finishes the job on the pages that were never
+// sent or were re-dirtied after their last send. It trades a little
+// pre-copy traffic for a much shorter degradation tail than pure post-copy.
 
 // PostCopyStats extends a Report for runs with a post-copy phase.
 type PostCopyStats struct {
@@ -50,26 +52,9 @@ type PostCopyStats struct {
 // switchover.
 const cpuStateBytes = 2 << 20
 
-// MigratePostCopy migrates the VM post-copy style and returns the report
-// (with Report.PostCopy set). The transfer bitmap is not consulted: this is
-// the application-agnostic baseline.
-func (s *Source) MigratePostCopy() (*Report, error) {
-	s.Cfg.Mode = ModePostCopy
-	return s.migrateLazy(false)
-}
-
-// MigrateHybrid runs Cfg.HybridWarmIterations pre-copy rounds, then
-// switches over post-copy style: only pages never sent — or re-dirtied
-// since their last send — are demand-fetched or pre-paged. It trades a
-// little pre-copy traffic for a much shorter degradation tail than pure
-// post-copy.
-func (s *Source) MigrateHybrid() (*Report, error) {
-	s.Cfg.Mode = ModeHybrid
-	return s.migrateLazy(true)
-}
-
 // migrateLazy is the shared engine behind ModePostCopy (warm == false) and
-// ModeHybrid (warm == true).
+// ModeHybrid (warm == true). The transfer bitmap is not consulted: both are
+// application-agnostic.
 func (s *Source) migrateLazy(warm bool) (*Report, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -119,7 +104,6 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 
 		toSend := mem.NewBitmap(n)
 		toSend.SetAll()
-		stop := warmStop{warmIters: s.Cfg.HybridWarmIterations, next: s.stop}
 		for {
 			iter++
 			st := s.runIteration(iter, toSend, false)
@@ -128,13 +112,13 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 			if s.aborted {
 				return s.abortRun(start)
 			}
-			if stop.Stop(iter, st, s.sentBytes, s.Dom.MemoryBytes()) {
+			if iter >= s.Cfg.HybridWarmIterations || s.stopNow(iter, st) {
 				break
 			}
 			s.Dom.PeekAndClear(toSend)
 		}
 	} else {
-		s.bindSink()
+		s.sink = s.Dest
 		s.beginIntegrity()
 		if resumed {
 			s.planResumeLazy(s.pendingResume, resident)
@@ -429,7 +413,9 @@ func (s *Source) fetchRun() (int, error) {
 		}
 		if recvErr == nil && landed < sent {
 			var k int
+			s.Cfg.Perf.Enter(perf.StagePageSink)
 			k, recvErr = s.sink.ReceivePages(pfns[landed:sent], payloads[landed*stride:sent*stride])
+			s.Cfg.Perf.Exit()
 			s.recordExpectedRun(pfns[landed:landed+k], payloads[landed*stride:], stride)
 			landed += k
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestPostCopyIdleGuest(t *testing.T) {
 	r := newRig(4096, 50*1000*1000)
-	rep, err := r.source(Config{}, nil).MigratePostCopy()
+	rep, err := r.source(Config{Mode: ModePostCopy}, nil).Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPostCopyDemandFaults(t *testing.T) {
 	r := newRig(8192, 20*1000*1000)
 	hot := mem.VARange{Start: 0x1000000, End: 0x1000000 + 2048*mem.PageSize}
 	sc := newScribbler(r.guest, r.clock, hot, 30000)
-	rep, err := r.source(Config{}, sc).MigratePostCopy()
+	rep, err := r.source(Config{Mode: ModePostCopy}, sc).Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPostCopyDowntimeBeatsPreCopyForFastDirtier(t *testing.T) {
 
 	post := newRig(4096, 10*1000*1000)
 	scPost := newScribbler(post.guest, post.clock, hot, 20000)
-	postRep, err := post.source(Config{}, scPost).MigratePostCopy()
+	postRep, err := post.source(Config{Mode: ModePostCopy}, scPost).Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,9 @@ func TestPostCopyDowntimeBeatsPreCopyForFastDirtier(t *testing.T) {
 
 func TestPostCopyValidation(t *testing.T) {
 	r := newRig(64, 1000)
-	src := r.source(Config{}, nil)
+	src := r.source(Config{Mode: ModePostCopy}, nil)
 	src.Link = nil
-	if _, err := src.MigratePostCopy(); err == nil {
+	if _, err := src.Migrate(); err == nil {
 		t.Fatal("missing link accepted")
 	}
 }
@@ -120,14 +120,14 @@ func TestPostCopyFetchesRepeatedRunPageOnce(t *testing.T) {
 	for _, armed := range []bool{false, true} {
 		r := newRig(4096, 50*1000*1000)
 		led := ledger.New()
-		cfg := Config{Ledger: led}
+		cfg := Config{Mode: ModePostCopy, Ledger: led}
 		if armed {
 			cfg.Faults = r.injector(t, faults.Plan{})
 		}
 		// High PFNs: the prefetch cursor, which starts at 0, has not reached
 		// them when the guest first runs.
 		g := &runGuest{r: r, run: []mem.PFN{4000, 4001, 4000, 4090, 4000, 4001}}
-		rep, err := r.source(cfg, g).MigratePostCopy()
+		rep, err := r.source(cfg, g).Migrate()
 		if err != nil {
 			t.Fatal(err)
 		}

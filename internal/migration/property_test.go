@@ -98,7 +98,7 @@ func TestPostCopyInvariantRandomized(t *testing.T) {
 		hot := mem.VARange{Start: 0x1000000, End: 0x1000000 + mem.VA(hotPages*mem.PageSize)}
 		sc := newScribbler(r.guest, r.clock, hot, float64(1000+rng.Intn(30000)))
 
-		rep, err := r.source(Config{}, sc).MigratePostCopy()
+		rep, err := r.source(Config{Mode: ModePostCopy}, sc).Migrate()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

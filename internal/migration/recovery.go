@@ -9,6 +9,7 @@ import (
 	"javmm/internal/mem"
 	"javmm/internal/netsim"
 	"javmm/internal/obs"
+	"javmm/internal/obs/perf"
 )
 
 // The robustness layer: transient stage failures (a partitioned link, a
@@ -165,7 +166,10 @@ func (s *Source) retryPage(err0 error, p mem.PFN, payload []byte) error {
 // corrupt-page-stream fault site, as a one-page run.
 func (s *Source) receiveOne(p mem.PFN, payload []byte) error {
 	s.one[0] = p
-	_, err := s.sink.ReceivePages(s.one[:], s.wirePayload(p, payload))
+	payload = s.wirePayload(p, payload)
+	s.Cfg.Perf.Enter(perf.StagePageSink)
+	_, err := s.sink.ReceivePages(s.one[:], payload)
+	s.Cfg.Perf.Exit()
 	return err
 }
 
@@ -182,7 +186,9 @@ func (s *Source) receiveOne(p mem.PFN, payload []byte) error {
 // Resume correctly degrades on).
 func (s *Source) abortRun(start time.Duration) (*Report, error) {
 	if s.proto != nil {
+		s.Cfg.Perf.Enter(perf.StageSuspension)
 		s.proto.Aborted()
+		s.Cfg.Perf.Exit()
 	}
 	s.report.TotalTime = s.Clock.Now() - start
 	s.emitProgress(ProgressAborted, len(s.report.Iterations), 0, 0, 0)
@@ -235,9 +241,11 @@ func (s *Source) degradeToVanilla(reason string) {
 	}
 	// Tell the guest the assisted workflow is over — the LKM releases any
 	// held applications and resets, exactly as on an abort.
+	s.Cfg.Perf.Enter(perf.StageSuspension)
 	s.proto.Aborted()
+	s.Cfg.Perf.Exit()
 	s.proto = nil
-	s.skip = profileSkip(transferAll{}, s.Cfg.Perf)
+	s.skip = pageSkip{}
 	s.degradePending = s.skippedEver
 	s.skippedEver = nil
 }

@@ -350,19 +350,8 @@ func (l *Link) Transfer(n uint64) (*Transfer, error) {
 	if l.fabric == nil {
 		panic("netsim: Transfer on a non-fabric link (gate on Arbitrated)")
 	}
-	if l.hostDown() {
-		l.failedSends++
-		if m := l.metrics; m != nil {
-			m.Counter("net.failed_sends").Inc()
-		}
-		return nil, ErrHostDown
-	}
-	if l.faults.LinkDown() {
-		l.failedSends++
-		if m := l.metrics; m != nil {
-			m.Counter("net.failed_sends").Inc()
-		}
-		return nil, ErrPartitioned
+	if err := l.refusal(); err != nil {
+		return nil, err
 	}
 	return l.fabric.admit(l, n), nil
 }
@@ -512,8 +501,8 @@ func (t *trunk) effBandwidth() float64 {
 }
 
 // complete finalizes a transfer at now: whole-byte accounting lands on the
-// port (Send's exact bookkeeping) and on every trunk of its path, and
-// waiters are queued to resume.
+// port's counters (Send's exact bookkeeping), on every trunk of its path and
+// on its flow, and waiters are queued to resume.
 func (f *Fabric) complete(tr *Transfer, now time.Duration) {
 	tr.done = true
 	tr.dur = now - tr.start
@@ -521,9 +510,6 @@ func (f *Fabric) complete(tr *Transfer, now time.Duration) {
 		tr.dur = 1 // same floor as TransferTime: no free non-empty transfers
 	}
 	p := tr.port
-	p.bytesSent += tr.n
-	p.sends++
-	p.busy += tr.dur
 	if m := p.metrics; m != nil {
 		m.Counter("net.bytes_sent").Add(int64(tr.n))
 		m.Counter("net.sends").Inc()
@@ -646,8 +632,11 @@ func (tr *Transfer) Duration() time.Duration { return tr.dur }
 // Bytes returns the transfer's payload size.
 func (tr *Transfer) Bytes() uint64 { return tr.n }
 
-// idealTransferTime is the uncontended cost of n bytes at bw — the same
-// formula (and 1ns floor) as Link.TransferTime, without modulation.
+// idealTransferTime is the uncontended cost of n bytes at bw. A non-empty
+// transfer always costs at least 1ns: the float arithmetic rounds sub-ns
+// costs (small payloads on very fast links) down to zero, which would let
+// busy-time accounting and effective-bandwidth metrics record transfers
+// that took no time at all.
 func idealTransferTime(n, bw uint64) time.Duration {
 	d := time.Duration(float64(n) / float64(bw) * float64(time.Second))
 	if n > 0 && d <= 0 {

@@ -64,10 +64,13 @@ func sharedPair(bw uint64) (*simclock.Clock, *Fabric, *Link, *Link) {
 	return clock, f, a, b
 }
 
-// A lone transfer on a fabric port costs exactly what the legacy Link
-// charges: the trivial single-tenant fabric is cost-identical.
+// A lone transfer on a fabric port costs what a plain Link charges when
+// the cost is a whole number of nanoseconds. Otherwise the two differ by
+// 1ns: the port completes at the ceiling nanosecond, the Link truncates.
 func TestFabricSingleTenantMatchesLink(t *testing.T) {
-	clock, _, a, _ := sharedPair(1000)
+	clock, f, a, _ := sharedPair(1000)
+	m := obs.NewMetrics(clock)
+	a.SetMetrics(m)
 	tr, err := a.Transfer(2000)
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +85,12 @@ func TestFabricSingleTenantMatchesLink(t *testing.T) {
 	if clock.Now() != 2*time.Second {
 		t.Fatalf("clock at %v, want 2s", clock.Now())
 	}
-	if a.BytesSent() != 2000 || a.Sends() != 1 || a.Busy() != 2*time.Second {
-		t.Fatalf("port accounting = %d bytes / %d sends / %v busy", a.BytesSent(), a.Sends(), a.Busy())
+	if fl := f.Report().Flows[0]; fl.BytesSent != 2000 || fl.Transfers != 1 {
+		t.Fatalf("flow accounting = %d bytes / %d transfers", fl.BytesSent, fl.Transfers)
+	}
+	sent, sends := m.Counter("net.bytes_sent").Value(), m.Counter("net.sends").Value()
+	if busy := time.Duration(m.Counter("net.busy_ns").Value()); sent != 2000 || sends != 1 || busy != 2*time.Second {
+		t.Fatalf("port counters = %d bytes / %d sends / %v busy", sent, sends, busy)
 	}
 }
 
@@ -160,8 +167,8 @@ func TestFabricByteConservation(t *testing.T) {
 	if bk.Name != "backbone" || bk.BytesSent != want {
 		t.Fatalf("backbone carried %d bytes, want %d", bk.BytesSent, want)
 	}
-	if got := a.BytesSent() + b.BytesSent(); got != want {
-		t.Fatalf("ports account %d bytes, want %d", got, want)
+	if got := rep.Flows[0].BytesSent + rep.Flows[1].BytesSent; got != want {
+		t.Fatalf("flows account %d bytes, want %d", got, want)
 	}
 	if bk.Transfers != uint64(len(sizes)) {
 		t.Fatalf("backbone transfers = %d, want %d", bk.Transfers, len(sizes))
@@ -212,11 +219,13 @@ func TestFabricPortPartitionGatesAdmission(t *testing.T) {
 	}
 	inj.Begin()
 	a.SetFaults(inj)
+	m := obs.NewMetrics(clock)
+	a.SetMetrics(m)
 	if _, err := a.Transfer(100); err != ErrPartitioned {
 		t.Fatalf("admission during partition: err = %v, want ErrPartitioned", err)
 	}
-	if a.FailedSends() != 1 {
-		t.Fatalf("failedSends = %d, want 1", a.FailedSends())
+	if got := m.Counter("net.failed_sends").Value(); got != 1 {
+		t.Fatalf("net.failed_sends = %d, want 1", got)
 	}
 	clock.Advance(150 * time.Millisecond)
 	tr, err := a.Transfer(100)

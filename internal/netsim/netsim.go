@@ -56,11 +56,6 @@ type Link struct {
 	// background traffic on the migration path.
 	Modulator func(now time.Duration) float64
 
-	bytesSent   uint64
-	sends       uint64
-	failedSends uint64
-	busy        time.Duration
-
 	metrics *obs.Metrics
 	faults  *faults.Injector
 
@@ -93,11 +88,6 @@ func NewLink(clock *simclock.Clock, bandwidth uint64, latency time.Duration) *Li
 	return &Link{clock: clock, bandwidth: bandwidth, latency: latency}
 }
 
-// NewGigabit returns a link modelling the paper's testbed network.
-func NewGigabit(clock *simclock.Clock) *Link {
-	return NewLink(clock, GigabitEffective, 100*time.Microsecond)
-}
-
 // Bandwidth returns the link's current payload bandwidth in bytes/sec,
 // after modulation and any fault-injected bandwidth collapse.
 func (l *Link) Bandwidth() uint64 {
@@ -125,22 +115,11 @@ func checkModFactor(f float64) float64 {
 	return f
 }
 
-// Latency returns the link's one-way latency.
-func (l *Link) Latency() time.Duration { return l.latency }
-
 // TransferTime returns the virtual time needed to push n payload bytes
-// through the link at its current bandwidth, excluding latency. A non-empty
-// transfer always costs at least 1ns: the float arithmetic rounds sub-ns
-// costs (small payloads on very fast links) down to zero, which would let
-// busy-time accounting and effective-bandwidth metrics record transfers
-// that took no time at all.
+// through the link at its current bandwidth, excluding latency. It is
+// idealTransferTime, the cost formula fabric flows are measured against.
 func (l *Link) TransferTime(n uint64) time.Duration {
-	bw := l.Bandwidth()
-	d := time.Duration(float64(n) / float64(bw) * float64(time.Second))
-	if n > 0 && d <= 0 {
-		d = 1
-	}
-	return d
+	return idealTransferTime(n, l.Bandwidth())
 }
 
 // Send accounts for a transfer of n payload bytes and returns its duration
@@ -149,9 +128,6 @@ func (l *Link) TransferTime(n uint64) time.Duration {
 // (Figure 1's "transfer rate" series).
 func (l *Link) Send(n uint64) time.Duration {
 	d := l.TransferTime(n)
-	l.bytesSent += n
-	l.sends++
-	l.busy += d
 	if m := l.metrics; m != nil {
 		m.Counter("net.bytes_sent").Add(int64(n))
 		m.Counter("net.sends").Inc()
@@ -167,21 +143,30 @@ func (l *Link) Send(n uint64) time.Duration {
 // surface as retryable errors; Send keeps the legacy always-succeeds
 // contract for callers with no fault story (e.g. the replication stream).
 func (l *Link) SendErr(n uint64) (time.Duration, error) {
-	if l.hostDown() {
-		l.failedSends++
-		if m := l.metrics; m != nil {
-			m.Counter("net.failed_sends").Inc()
-		}
-		return 0, ErrHostDown
-	}
-	if l.faults.LinkDown() {
-		l.failedSends++
-		if m := l.metrics; m != nil {
-			m.Counter("net.failed_sends").Inc()
-		}
-		return 0, ErrPartitioned
+	if err := l.refusal(); err != nil {
+		return 0, err
 	}
 	return l.Send(n), nil
+}
+
+// refusal returns why a send must be refused now, counting the refusal in
+// net.failed_sends, or nil when the send may go: ErrHostDown while the
+// port's destination host is down, ErrPartitioned while a partition window
+// holds the link down.
+func (l *Link) refusal() error {
+	var err error
+	switch {
+	case l.hostDown():
+		err = ErrHostDown
+	case l.faults.LinkDown():
+		err = ErrPartitioned
+	default:
+		return nil
+	}
+	if m := l.metrics; m != nil {
+		m.Counter("net.failed_sends").Inc()
+	}
+	return err
 }
 
 // hostDown reports whether the port's destination host is inside a
@@ -190,18 +175,6 @@ func (l *Link) SendErr(n uint64) (time.Duration, error) {
 func (l *Link) hostDown() bool {
 	return l.fabric != nil && l.fabric.hostFaults.HostDown(l.destHost)
 }
-
-// BytesSent returns total payload bytes accounted through Send.
-func (l *Link) BytesSent() uint64 { return l.bytesSent }
-
-// FailedSends returns the number of sends refused by a partition.
-func (l *Link) FailedSends() uint64 { return l.failedSends }
-
-// Sends returns the number of Send calls.
-func (l *Link) Sends() uint64 { return l.sends }
-
-// Busy returns cumulative transfer time accounted through Send.
-func (l *Link) Busy() time.Duration { return l.busy }
 
 // RoundTrip returns the cost of a small control-message round trip: twice
 // the latency. The migration workflow's control messages (skip-over queries,

@@ -10,6 +10,7 @@ import (
 
 	"javmm/internal/faults"
 	"javmm/internal/mem"
+	"javmm/internal/obs"
 	"javmm/internal/simclock"
 )
 
@@ -32,21 +33,30 @@ func TestZeroBandwidthPanics(t *testing.T) {
 	NewLink(simclock.New(), 0, 0)
 }
 
+// meteredLink returns a link with a metrics registry attached, so tests can
+// read its net.* counters.
+func meteredLink(clock *simclock.Clock, bandwidth uint64, latency time.Duration) (*Link, *obs.Metrics) {
+	l := NewLink(clock, bandwidth, latency)
+	m := obs.NewMetrics(clock)
+	l.SetMetrics(m)
+	return l, m
+}
+
 func TestSendAccounting(t *testing.T) {
-	l := NewLink(simclock.New(), 1000, time.Millisecond)
+	l, m := meteredLink(simclock.New(), 1000, time.Millisecond)
 	d1 := l.Send(500)
 	d2 := l.Send(250)
 	if d1 != 500*time.Millisecond || d2 != 250*time.Millisecond {
 		t.Fatalf("durations %v %v", d1, d2)
 	}
-	if l.BytesSent() != 750 {
-		t.Fatalf("BytesSent = %d", l.BytesSent())
+	if got := m.Counter("net.bytes_sent").Value(); got != 750 {
+		t.Fatalf("net.bytes_sent = %d", got)
 	}
-	if l.Sends() != 2 {
-		t.Fatalf("Sends = %d", l.Sends())
+	if got := m.Counter("net.sends").Value(); got != 2 {
+		t.Fatalf("net.sends = %d", got)
 	}
-	if l.Busy() != 750*time.Millisecond {
-		t.Fatalf("Busy = %v", l.Busy())
+	if got := time.Duration(m.Counter("net.busy_ns").Value()); got != 750*time.Millisecond {
+		t.Fatalf("net.busy_ns = %v", got)
 	}
 	if l.RoundTrip() != 2*time.Millisecond {
 		t.Fatalf("RoundTrip = %v", l.RoundTrip())
@@ -83,7 +93,7 @@ func TestModulatorOutOfRangePanics(t *testing.T) {
 }
 
 func TestGigabitDefaults(t *testing.T) {
-	l := NewGigabit(simclock.New())
+	l := NewLink(simclock.New(), GigabitEffective, 100*time.Microsecond)
 	// 2 GiB at gigabit-effective should take 18-19 virtual seconds — the
 	// first-iteration cost seen in the paper's Figure 8.
 	d := l.TransferTime(2 << 30)
@@ -278,7 +288,7 @@ func TestTransferTimeNeverRoundsToZero(t *testing.T) {
 	// Regression: a 4-byte control payload on a 10-gigabit link costs
 	// ~0.0034ns, which the float arithmetic used to round down to 0ns —
 	// making tiny transfers invisible to busy-time accounting.
-	l := NewLink(simclock.New(), TenGigabitEffective, 0)
+	l, m := meteredLink(simclock.New(), TenGigabitEffective, 0)
 	if d := l.TransferTime(4); d < 1 {
 		t.Fatalf("TransferTime(4) = %v, want >= 1ns", d)
 	}
@@ -287,8 +297,8 @@ func TestTransferTimeNeverRoundsToZero(t *testing.T) {
 	}
 	// Busy time now reflects every non-empty send.
 	l.Send(1)
-	if l.Busy() < 1 {
-		t.Fatalf("Busy = %v after a 1-byte send, want >= 1ns", l.Busy())
+	if got := m.Counter("net.busy_ns").Value(); got < 1 {
+		t.Fatalf("net.busy_ns = %d after a 1-byte send, want >= 1", got)
 	}
 }
 
@@ -301,7 +311,7 @@ func TestSendErrPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Begin()
-	l := NewLink(clock, 1000, 0)
+	l, m := meteredLink(clock, 1000, 0)
 	l.SetFaults(inj)
 
 	if d, err := l.SendErr(100); err != nil || d != 100*time.Millisecond {
@@ -311,11 +321,11 @@ func TestSendErrPartition(t *testing.T) {
 	if _, err := l.SendErr(100); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("in-partition SendErr err = %v, want ErrPartitioned", err)
 	}
-	if l.FailedSends() != 1 {
-		t.Fatalf("FailedSends = %d, want 1", l.FailedSends())
+	if got := m.Counter("net.failed_sends").Value(); got != 1 {
+		t.Fatalf("net.failed_sends = %d, want 1", got)
 	}
-	if l.BytesSent() != 100 {
-		t.Fatalf("BytesSent = %d: a refused send must carry no bytes", l.BytesSent())
+	if got := m.Counter("net.bytes_sent").Value(); got != 100 {
+		t.Fatalf("net.bytes_sent = %d: a refused send must carry no bytes", got)
 	}
 	clock.Advance(time.Second)
 	if _, err := l.SendErr(100); err != nil {

@@ -5,8 +5,8 @@
 // — the question every raw-speed optimization must be judged by.
 //
 // The central type is Profiler, a per-run accumulator of wall time and
-// allocation bytes attributed to named engine stages (the five pluggable
-// stages of the migration engine, plus the lazy/post-copy fetch path and the
+// allocation bytes attributed to named engine stages (the five stages of
+// the migration engine, plus the lazy/post-copy fetch path and the
 // digest/audit loops). Attribution is self-time based: a stage's SelfNs
 // excludes the time spent in stages nested inside it, so shares are additive
 // and sum to at most the run's wall time. The profiler is single-threaded by
@@ -39,11 +39,11 @@ const (
 	// StageStopPolicy is the per-iteration convergence decision.
 	StageStopPolicy
 	// StageSuspension is the guest-side suspension protocol (LKM handshake:
-	// Begin, EnterLastIter, Ready polling, Outcome).
+	// Begin, EnterLastIter, Ready polling, Outcome, Resumed, Aborted).
 	StageSuspension
 	// StagePageSink is page delivery into the destination (including the
 	// destination's digest recompute), one call per run of pages: a
-	// pre-copy chunk, or a single page.
+	// pre-copy chunk, a demand-fetch run, or a single page.
 	StagePageSink
 	// StageLazyFetch is the post-copy engine's demand-fetch and prefetch
 	// path (link send, delivery, inline verification).
@@ -166,11 +166,26 @@ func (p *Profiler) readAlloc() uint64 {
 
 // Enter opens stage s. Every Enter must be paired with exactly one Exit;
 // stages may nest arbitrarily (the engine's audit loop re-enters the codec
-// and sink stages) and self-time attribution untangles the nesting.
+// and sink stages) and self-time attribution untangles the nesting. Enter
+// and Exit inline to a nil check, so the engine's per-page and per-word
+// brackets cost nothing when profiling is off.
 func (p *Profiler) Enter(s Stage) {
-	if p == nil {
-		return
+	if p != nil {
+		p.enter(s)
 	}
+}
+
+// Exit closes the innermost open stage, attributing its elapsed wall time
+// (and allocation bytes, when enabled) minus whatever nested stages already
+// claimed. Exit on an empty stack is a no-op rather than a panic: a profiler
+// must never take the engine down.
+func (p *Profiler) Exit() {
+	if p != nil {
+		p.exit()
+	}
+}
+
+func (p *Profiler) enter(s Stage) {
 	f := frame{stage: s, start: time.Now()}
 	if p.allocs {
 		f.startAlloc = p.readAlloc()
@@ -181,12 +196,8 @@ func (p *Profiler) Enter(s Stage) {
 	}
 }
 
-// Exit closes the innermost open stage, attributing its elapsed wall time
-// (and allocation bytes, when enabled) minus whatever nested stages already
-// claimed. Exit on an empty stack is a no-op rather than a panic: a profiler
-// must never take the engine down.
-func (p *Profiler) Exit() {
-	if p == nil || len(p.stack) == 0 {
+func (p *Profiler) exit() {
+	if len(p.stack) == 0 {
 		return
 	}
 	f := p.stack[len(p.stack)-1]
@@ -212,22 +223,6 @@ func (p *Profiler) Exit() {
 	} else if p.labels {
 		pprof.SetGoroutineLabels(p.base)
 	}
-}
-
-// Time runs fn inside stage s.
-func (p *Profiler) Time(s Stage, fn func()) {
-	p.Enter(s)
-	fn()
-	p.Exit()
-}
-
-// Reset clears the accumulated totals (open frames are dropped too).
-func (p *Profiler) Reset() {
-	if p == nil {
-		return
-	}
-	p.stack = p.stack[:0]
-	p.acc = [numStages]stageAcc{}
 }
 
 // StageStats is one stage's accumulated account.

@@ -11,8 +11,6 @@ func TestNilProfilerIsNoop(t *testing.T) {
 	var p *Profiler
 	p.Enter(StageSkipPolicy)
 	p.Exit()
-	p.Time(StageWireCodec, func() {})
-	p.Reset()
 	if got := p.Snapshot(); got != nil {
 		t.Fatalf("nil profiler Snapshot = %v, want nil", got)
 	}
@@ -24,9 +22,11 @@ func TestNilProfilerIsNoop(t *testing.T) {
 func TestProfilerCountsAndStageNames(t *testing.T) {
 	p := NewProfiler()
 	for i := 0; i < 3; i++ {
-		p.Time(StageWireCodec, func() {})
+		p.Enter(StageWireCodec)
+		p.Exit()
 	}
-	p.Time(StagePageSink, func() {})
+	p.Enter(StagePageSink)
+	p.Exit()
 	stats := p.Snapshot()
 	if len(stats) != 2 {
 		t.Fatalf("got %d stages, want 2: %+v", len(stats), stats)
@@ -90,11 +90,11 @@ func TestProfilerAllocTracking(t *testing.T) {
 	// they are allocated; small ones only when their span leaves the P's
 	// cache (see WithAllocs). Large objects make the bound below test
 	// attribution rather than cache state.
-	p.Time(StagePageSink, func() {
-		for i := 0; i < 4; i++ {
-			sink = append(sink, make([]byte, 64<<10))
-		}
-	})
+	p.Enter(StagePageSink)
+	for i := 0; i < 4; i++ {
+		sink = append(sink, make([]byte, 64<<10))
+	}
+	p.Exit()
 	_ = sink
 	stats := p.Snapshot()
 	if len(stats) != 1 {
@@ -110,15 +110,6 @@ func TestProfilerExitOnEmptyStack(t *testing.T) {
 	p.Exit() // must not panic
 	if got := len(p.Snapshot()); got != 0 {
 		t.Fatalf("spurious stage recorded: %d", got)
-	}
-}
-
-func TestProfilerReset(t *testing.T) {
-	p := NewProfiler()
-	p.Time(StageSkipPolicy, func() {})
-	p.Reset()
-	if got := p.Snapshot(); got != nil {
-		t.Fatalf("after Reset, Snapshot = %v, want nil", got)
 	}
 }
 

@@ -57,7 +57,6 @@ func main() {
 	flag.StringVar(&o.Workload, "workload", "derby", "workload to run: "+strings.Join(javmm.WorkloadNames(), ", "))
 	flag.StringVar(&o.Mode, "mode", "javmm", "migration mode: xen, javmm, post-copy or hybrid")
 	flag.Uint64Var(&o.MemMiB, "mem", 2048, "VM memory in MiB")
-	flag.IntVar(&o.VCPUs, "vcpus", 4, "virtual CPUs")
 	flag.Uint64Var(&o.Bandwidth, "bandwidth", javmm.GigabitEthernet, "link payload bandwidth in bytes/sec")
 	flag.DurationVar(&o.Warmup, "warmup", 300*time.Second, "virtual warmup before migration")
 	flag.Int64Var(&o.Seed, "seed", 1, "deterministic seed")
@@ -96,7 +95,6 @@ type options struct {
 	Workload   string
 	Mode       string
 	MemMiB     uint64
-	VCPUs      int
 	Bandwidth  uint64
 	Warmup     time.Duration
 	Seed       int64
@@ -168,7 +166,6 @@ func analyzeRun(o options, out io.Writer) error {
 	}
 	vm, err := javmm.BootVM(javmm.BootConfig{
 		MemBytes:  o.MemMiB << 20,
-		VCPUs:     o.VCPUs,
 		Profile:   prof,
 		Assisted:  mode == javmm.ModeJAVMM,
 		Seed:      o.Seed,

@@ -22,7 +22,6 @@ func base() options {
 		Workload:  "derby",
 		Mode:      "javmm",
 		MemMiB:    2048,
-		VCPUs:     4,
 		Bandwidth: javmm.GigabitEthernet,
 		Warmup:    30 * time.Second,
 		Seed:      1,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"javmm"
+	"javmm/internal/faults"
 	"javmm/internal/obs/perf"
 )
 
@@ -368,7 +369,7 @@ func healOnce(spec healSpec, o options, prof *javmm.StageProfiler) ([]perf.Deter
 	}
 	if spec.arm == "relocate" {
 		oo.FaultPlan = javmm.FaultPlan{
-			{Site: javmm.FaultHostCrash, For: time.Hour, Host: "d1"},
+			{Site: faults.SiteHostCrash, For: time.Hour, Host: "d1"},
 		}
 	}
 	before := readAllocs()
@@ -615,7 +616,6 @@ func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) (*javm
 	}
 	vm, err := javmm.BootVM(javmm.BootConfig{
 		MemBytes: o.MemMiB << 20,
-		VCPUs:    4,
 		Profile:  wl,
 		Assisted: mode == javmm.ModeJAVMM,
 		Seed:     o.Seed,

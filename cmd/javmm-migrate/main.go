@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"javmm"
+	"javmm/internal/obs/perf"
 )
 
 func main() {
@@ -61,7 +62,6 @@ func defineFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.Workload, "workload", "derby", "workload to run: "+strings.Join(javmm.WorkloadNames(), ", "))
 	fs.StringVar(&o.Mode, "mode", "javmm", "migration mode: xen, javmm, post-copy or hybrid")
 	fs.Uint64Var(&o.MemMiB, "mem", 2048, "VM memory in MiB")
-	fs.IntVar(&o.VCPUs, "vcpus", 4, "virtual CPUs")
 	fs.Uint64Var(&o.Bandwidth, "bandwidth", javmm.GigabitEthernet, "link payload bandwidth in bytes/sec")
 	fs.DurationVar(&o.Warmup, "warmup", 300*time.Second, "virtual warmup before migration")
 	fs.Uint64Var(&o.YoungMiB, "young", 0, "override max young generation in MiB (0 = workload default)")
@@ -109,7 +109,6 @@ type options struct {
 	Mode         string
 	Collector    string
 	MemMiB       uint64
-	VCPUs        int
 	Bandwidth    uint64
 	Warmup       time.Duration
 	YoungMiB     uint64
@@ -187,7 +186,6 @@ func run(o options, out io.Writer) error {
 
 	vm, err := javmm.BootVM(javmm.BootConfig{
 		MemBytes:  o.MemMiB << 20,
-		VCPUs:     o.VCPUs,
 		Profile:   prof,
 		Assisted:  mode == javmm.ModeJAVMM,
 		Seed:      o.Seed,
@@ -197,8 +195,8 @@ func run(o options, out io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "booted %s: %d MiB, %d vCPUs, workload %s (category %d)\n",
-		vm.Dom.Name(), o.MemMiB, o.VCPUs, prof.Name, prof.Category)
+	fmt.Fprintf(out, "booted %s: %d MiB, workload %s (category %d)\n",
+		vm.Dom.Name(), o.MemMiB, prof.Name, prof.Category)
 	fmt.Fprintf(out, "warming up for %v of virtual time...\n", o.Warmup)
 	vm.Driver.Run(o.Warmup)
 	if vm.Driver.Err != nil {
@@ -215,6 +213,10 @@ func run(o options, out io.Writer) error {
 	if o.StageProfile || o.CPUProfile != "" {
 		stages = javmm.NewStageProfiler()
 		engine.Perf = stages
+	}
+	var probeNs float64
+	if o.StageProfile {
+		probeNs = stageProbe()
 	}
 	// -v reads the per-iteration statistics off the tracer's event bus, so
 	// it needs a tracer even without -trace.
@@ -377,7 +379,7 @@ func run(o options, out io.Writer) error {
 		}
 	}
 	if o.StageProfile {
-		printStageProfile(out, stages)
+		printStageProfile(out, stages, probeNs)
 	}
 	if o.MemProfile != "" {
 		f, err := os.Create(o.MemProfile)
@@ -803,30 +805,50 @@ func writeFleetSLA(path string, f javmm.FleetSLACost) error {
 	return err
 }
 
+// stageProbe returns the self time one empty Enter/Exit pair books on a
+// scratch profiler built like the run's: the profiler's own cost (two clock
+// reads, the allocation-counter reads and the pprof label switches), which
+// every stage call over-reports by. It brackets pairs for about 10 ms.
+func stageProbe() float64 {
+	p := javmm.NewStageProfiler()
+	for start := time.Now(); time.Since(start) < 10*time.Millisecond; {
+		for i := 0; i < 1000; i++ {
+			p.Enter(perf.StageSkipPolicy)
+			p.Exit()
+		}
+	}
+	st := p.Snapshot()[0]
+	return float64(st.SelfNs) / float64(st.Calls)
+}
+
 // printStageProfile renders the real-clock per-stage account: where the
 // simulator itself spent wall time and heap allocation, self-attributed (a
-// stage's row excludes the stages it called into).
-func printStageProfile(out io.Writer, stages *javmm.StageProfiler) {
+// stage's row excludes the stages it called into). Each row's self time and
+// share are net of the profiler's own cost: calls × probeNs, clamped at 0.
+func printStageProfile(out io.Writer, stages *javmm.StageProfiler, probeNs float64) {
 	snap := stages.Snapshot()
 	if len(snap) == 0 {
 		fmt.Fprintf(out, "\nstage profile: no stages recorded\n")
 		return
 	}
-	var totalSelf int64
-	for _, s := range snap {
-		totalSelf += s.SelfNs
+	self := make([]time.Duration, len(snap))
+	var totalSelf time.Duration
+	for i, s := range snap {
+		self[i] = time.Duration(max(0, float64(s.SelfNs)-float64(s.Calls)*probeNs))
+		totalSelf += self[i]
 	}
 	fmt.Fprintf(out, "\nstage profile (real clock, self-attributed):\n")
+	fmt.Fprintf(out, "  probe: %.0f ns of self time per Enter/Exit pair, subtracted from every call\n", probeNs)
 	fmt.Fprintf(out, "  %-22s %12s %12s %12s %12s %7s\n",
 		"stage", "calls", "self", "total", "self-alloc", "share")
-	for _, s := range snap {
+	for i, s := range snap {
 		share := 0.0
 		if totalSelf > 0 {
-			share = float64(s.SelfNs) / float64(totalSelf) * 100
+			share = float64(self[i]) / float64(totalSelf) * 100
 		}
 		fmt.Fprintf(out, "  %-22s %12d %12v %12v %12s %6.1f%%\n",
 			s.Stage, s.Calls,
-			time.Duration(s.SelfNs).Round(time.Microsecond),
+			self[i].Round(time.Microsecond),
 			time.Duration(s.TotalNs).Round(time.Microsecond),
 			mb(s.SelfAllocBytes), share)
 	}

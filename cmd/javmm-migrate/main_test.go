@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,6 @@ func base() options {
 		Mode:        "javmm",
 		Collector:   "parallel",
 		MemMiB:      2048,
-		VCPUs:       4,
 		Bandwidth:   javmm.GigabitEthernet,
 		Warmup:      60 * time.Second,
 		Seed:        1,
@@ -63,7 +63,6 @@ func TestRunCompression(t *testing.T) {
 	o.Workload = "crypto"
 	o.Collector = "g1"
 	o.MemMiB = 1024
-	o.VCPUs = 2
 	o.Warmup = 30 * time.Second
 	o.YoungMiB = 256
 	o.Compress = true
@@ -206,6 +205,38 @@ func TestRunMetricsSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// -stage-profile prints the probe it took before the run and nets it out of
+// every row, so the shares of the profiled time still sum to at most 100%.
+func TestRunStageProfileSubtractsProbe(t *testing.T) {
+	o := base()
+	o.Warmup = 30 * time.Second
+	o.StageProfile = true
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !regexp.MustCompile(`(?m)^  probe: \d+ ns of self time per Enter/Exit pair`).MatchString(out) {
+		t.Fatalf("no probe line in the stage profile:\n%s", out)
+	}
+	rows := regexp.MustCompile(`(?m)^  [a-z-]+ +\d+ .* (\d+\.\d)%$`).FindAllStringSubmatch(out, -1)
+	if len(rows) == 0 {
+		t.Fatalf("no stage rows in the stage profile:\n%s", out)
+	}
+	sum := 0.0
+	for _, r := range rows {
+		share, err := strconv.ParseFloat(r[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += share
+	}
+	// Each share is rounded to 0.1%, so allow half a step per row.
+	if sum > 100+0.05*float64(len(rows)) {
+		t.Fatalf("stage shares sum to %.1f%%:\n%s", sum, out)
 	}
 }
 

@@ -33,24 +33,26 @@ type Config struct {
 	// CacheBase/CacheBytes place the cache region in the process VA space.
 	CacheBase  mem.VA
 	CacheBytes uint64
-	// HotFraction of the cache is retained across migration (default 0.25).
-	HotFraction float64
-
-	// OpsPerSec is the request rate at full hit ratio.
-	OpsPerSec float64
-	// WritePagesPerSec is the steady-state update rate (hot pages).
-	WritePagesPerSec float64
-	// RefillPagesPerSec is how fast cold misses repopulate the purged tail
-	// after resumption.
-	RefillPagesPerSec float64
-	// MissPenalty scales throughput for the purged fraction: a request
-	// hitting a purged entry completes at MissPenalty of hit speed
-	// (default 0.3).
-	MissPenalty float64
 
 	// Assisted registers the app with the LKM for app-assisted migration.
 	Assisted bool
 }
+
+// The cache's service model.
+const (
+	// hotFraction of the cache is retained across migration.
+	hotFraction = 0.25
+	// opsPerSec is the request rate at full hit ratio.
+	opsPerSec = 10000
+	// writePagesPerSec is the steady-state update rate (hot pages).
+	writePagesPerSec = 5000
+	// refillPagesPerSec is how fast cold misses repopulate the purged tail
+	// after resumption.
+	refillPagesPerSec = 2000
+	// missPenalty scales throughput for the purged fraction: a request
+	// hitting a purged entry completes at missPenalty of hit speed.
+	missPenalty = 0.3
+)
 
 func (c *Config) fillDefaults() error {
 	if c.Guest == nil || c.Clock == nil {
@@ -61,24 +63,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.CacheBase == 0 {
 		c.CacheBase = 1 << 30
-	}
-	if c.HotFraction == 0 {
-		c.HotFraction = 0.25
-	}
-	if c.HotFraction < 0 || c.HotFraction > 1 {
-		return fmt.Errorf("cacheapp: HotFraction %v out of [0,1]", c.HotFraction)
-	}
-	if c.OpsPerSec == 0 {
-		c.OpsPerSec = 10000
-	}
-	if c.WritePagesPerSec == 0 {
-		c.WritePagesPerSec = 5000
-	}
-	if c.RefillPagesPerSec == 0 {
-		c.RefillPagesPerSec = 2000
-	}
-	if c.MissPenalty == 0 {
-		c.MissPenalty = 0.3
 	}
 	return nil
 }
@@ -123,7 +107,7 @@ func Launch(cfg Config) (*App, error) {
 	if err := a.proc.Alloc(a.region); err != nil {
 		return nil, fmt.Errorf("cacheapp: mapping cache: %w", err)
 	}
-	hotPages := uint64(float64(a.region.Pages()) * cfg.HotFraction)
+	hotPages := uint64(float64(a.region.Pages()) * hotFraction)
 	a.hotEnd = a.region.Start + mem.VA(hotPages*mem.PageSize)
 	a.writeCursor = a.region.Start
 	// Populate the cache: every page written once.
@@ -202,11 +186,11 @@ func (a *App) Run(d time.Duration) {
 
 		// Request throughput degrades with the invalid fraction.
 		hit := a.HitRatio()
-		rate := a.cfg.OpsPerSec * (hit + (1-hit)*a.cfg.MissPenalty)
+		rate := opsPerSec * (hit + (1-hit)*missPenalty)
 		a.TotalOps += rate * secs
 
 		// Hot-entry updates.
-		w := a.cfg.WritePagesPerSec*secs + a.writeCarry
+		w := writePagesPerSec*secs + a.writeCarry
 		n := int(w)
 		a.writeCarry = w - float64(n)
 		for i := 0; i < n; i++ {
@@ -220,7 +204,7 @@ func (a *App) Run(d time.Duration) {
 		// Misses refill the purged tail (writes, so migration would carry
 		// the rebuilt content if another migration followed).
 		if !a.PurgedRegion().Empty() {
-			r := a.cfg.RefillPagesPerSec*secs + a.refillCarry
+			r := refillPagesPerSec*secs + a.refillCarry
 			m := int(r)
 			a.refillCarry = r - float64(m)
 			for i := 0; i < m && a.refillCursor < a.region.End; i++ {

@@ -15,7 +15,7 @@ import (
 func launch(t *testing.T, assisted bool) (*App, *guestos.Guest, *simclock.Clock) {
 	t.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536), 2) // 256 MiB
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536)) // 256 MiB
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	app, err := Launch(Config{
 		Guest:      g,
@@ -51,16 +51,13 @@ func TestLaunchPopulatesCache(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(1024), 1)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(1024))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	if _, err := Launch(Config{Clock: clock, CacheBytes: 1 << 20}); err == nil {
 		t.Fatal("missing guest accepted")
 	}
 	if _, err := Launch(Config{Guest: g, Clock: clock}); err == nil {
 		t.Fatal("missing cache size accepted")
-	}
-	if _, err := Launch(Config{Guest: g, Clock: clock, CacheBytes: 1 << 20, HotFraction: 2}); err == nil {
-		t.Fatal("bad hot fraction accepted")
 	}
 }
 

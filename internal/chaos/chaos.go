@@ -31,18 +31,9 @@ type Options struct {
 	// Plans is the number of seeded plans to execute (default 12; the CI
 	// nightly job runs 200).
 	Plans int
-	// Seed is the base seed: plan i is faults.RandomPlan(Seed+i, Budget) and
-	// runs in mode i mod 4.
+	// Seed is the base seed: plan i is faults.RandomPlan(Seed+i,
+	// planBudget) and runs in mode i mod 4.
 	Seed int64
-	// Budget bounds the rules per plan (default 3).
-	Budget int
-	// Pages is the trial VM's size (default 1024).
-	Pages uint64
-	// Bandwidth is the trial link's bandwidth in bytes/sec. The default
-	// (1.5 MB/s) is deliberately slow: a trial migration then spans several
-	// seconds of virtual time, inside the [0, 20s) window RandomPlan draws
-	// fault activation times from, so timed rules actually land mid-run.
-	Bandwidth uint64
 	// DisableIntegrityAudit runs every trial with the digest audit turned
 	// off. It exists to prove the search works: with the audit disabled, an
 	// in-flight corruption completes silently and the search must find and
@@ -52,18 +43,23 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
+// The trial shape both searches share.
+const (
+	// planBudget bounds the rules per fault plan.
+	planBudget = 3
+	// trialPages is the single-VM trial's size.
+	trialPages = 1024
+	// trialBandwidth is the single-VM trial link's bandwidth in bytes/sec.
+	// It is deliberately slow (1.5 MB/s): a trial migration then spans
+	// several seconds of virtual time, inside the [0, 20s) window
+	// RandomPlan draws fault activation times from, so timed rules actually
+	// land mid-run.
+	trialBandwidth = 1500 * 1000
+)
+
 func (o *Options) fillDefaults() {
 	if o.Plans <= 0 {
 		o.Plans = 12
-	}
-	if o.Budget <= 0 {
-		o.Budget = 3
-	}
-	if o.Pages == 0 {
-		o.Pages = 1024
-	}
-	if o.Bandwidth == 0 {
-		o.Bandwidth = 1500 * 1000
 	}
 }
 
@@ -121,7 +117,7 @@ func Search(opts Options) *Result {
 	for i := 0; i < opts.Plans; i++ {
 		seed := opts.Seed + int64(i)
 		mode := modes[i%len(modes)]
-		plan := faults.RandomPlan(seed, opts.Budget)
+		plan := faults.RandomPlan(seed, planBudget)
 		res.PlansRun++
 		inv, detail := runTrial(&opts, mode, plan)
 		if inv == "" {
@@ -232,9 +228,9 @@ func (d *dirtier) Run(dur time.Duration) {
 // breached invariant's name and a human-readable detail.
 func runTrial(opts *Options, mode migration.Mode, plan faults.Plan) (string, string) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("chaos-vm", clock, mem.NewVersionStore(opts.Pages), 4)
+	dom := hypervisor.NewDomain("chaos-vm", clock, mem.NewVersionStore(trialPages))
 	guest := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
-	exec := newDirtier(guest, clock, opts.Pages)
+	exec := newDirtier(guest, clock, trialPages)
 	if mode == migration.ModeAppAssisted {
 		exec.register(guest)
 	}
@@ -246,8 +242,8 @@ func runTrial(opts *Options, mode migration.Mode, plan faults.Plan) (string, str
 	cfg := migration.Config{Mode: mode, Faults: inj, Ledger: led}
 	cfg.Recovery.EnableResume = true
 	cfg.Integrity.Disable = opts.DisableIntegrityAudit
-	src := migration.NewSource(guest, exec, netsim.NewLink(clock, opts.Bandwidth, 100*time.Microsecond),
-		migration.NewDestination(opts.Pages), cfg)
+	src := migration.NewSource(guest, exec, netsim.NewLink(clock, trialBandwidth, 100*time.Microsecond),
+		migration.NewDestination(trialPages), cfg)
 	rep, err := src.Migrate()
 
 	// Invariant: whatever happened, the engine hands back a report.

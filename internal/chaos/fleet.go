@@ -24,13 +24,9 @@ import (
 type FleetOptions struct {
 	// Plans is the number of seeded fault plans to execute (default 8).
 	Plans int
-	// Seed is the base seed: trial i uses faults.RandomPlan(Seed+i, Budget)
-	// and runs in mode i mod 4.
+	// Seed is the base seed: trial i uses faults.RandomPlan(Seed+i,
+	// planBudget) and runs in mode i mod 4.
 	Seed int64
-	// Budget bounds the rules per fault plan (default 3).
-	Budget int
-	// VMs is the trial evacuation's size (default 2).
-	VMs int
 	// DisableIntegrityAudit turns the digest audit off in every trial — the
 	// planted invariant bug that proves the fleet search has teeth (an
 	// unhealed in-flight corruption then reaches the final image, which the
@@ -53,12 +49,6 @@ func (o *FleetOptions) fillDefaults() {
 	if o.Plans <= 0 {
 		o.Plans = 8
 	}
-	if o.Budget <= 0 {
-		o.Budget = 3
-	}
-	if o.VMs <= 0 {
-		o.VMs = 2
-	}
 }
 
 func (o *FleetOptions) logf(format string, args ...any) {
@@ -70,12 +60,15 @@ func (o *FleetOptions) logf(format string, args ...any) {
 // TrialFleetPlan is the batch plan every fleet trial executes.
 const TrialFleetPlan = "evacuate host src"
 
-// TrialFleetCluster is the one-line cluster the fleet trials run on: n VMs
-// on one source host, two destinations, the default backbone. One line so a
-// violation's reproducer fits on a javmm-migrate command line.
-func TrialFleetCluster(n int) string {
+// trialVMs is the trial evacuation's size.
+const trialVMs = 2
+
+// trialFleetCluster is the one-line cluster the fleet trials run on:
+// trialVMs VMs on one source host, two destinations, the default backbone.
+// One line so a violation's reproducer fits on a javmm-migrate command line.
+func trialFleetCluster() string {
 	s := "host src ram 64G; host d1 ram 64G; host d2 ram 64G"
-	for i := 0; i < n; i++ {
+	for i := 0; i < trialVMs; i++ {
 		s += fmt.Sprintf("; vm fv%d on src workload mpeg mem 512M", i)
 	}
 	return s
@@ -109,10 +102,9 @@ var trialRetry = fleet.RetryPolicy{
 // FleetViolation is one fleet-invariant breach with its minimal reproducer.
 type FleetViolation struct {
 	Violation
-	// VMs sizes the trial cluster; VM names the breaching move (empty for
-	// plan-level breaches such as admission over-commit).
-	VMs int
-	VM  string
+	// VM names the breaching move (empty for plan-level breaches such as
+	// admission over-commit).
+	VM string
 	// BaseSeed is the search's workload seed (every trial boots with it);
 	// AuditDisabled records a search run with the digest audit off; Heal a
 	// search run with the self-healing layer enabled.
@@ -125,7 +117,7 @@ type FleetViolation struct {
 // fault plan against the trial cluster and batch plan, flag for flag.
 func (v *FleetViolation) Repro() []string {
 	args := []string{
-		"-cluster", TrialFleetCluster(v.VMs),
+		"-cluster", trialFleetCluster(),
 		"-plan", TrialFleetPlan,
 		"-ordering", fleet.OrderAdmission.String(),
 		"-mode", v.Mode.String(),
@@ -172,9 +164,9 @@ func SearchFleet(opts FleetOptions) *FleetResult {
 		mode := modes[i%len(modes)]
 		var plan faults.Plan
 		if opts.Heal {
-			plan = faults.RandomPlanHosts(seed, opts.Budget, trialFleetHosts)
+			plan = faults.RandomPlanHosts(seed, planBudget, trialFleetHosts)
 		} else {
-			plan = faults.RandomPlan(seed, opts.Budget)
+			plan = faults.RandomPlan(seed, planBudget)
 		}
 		res.PlansRun++
 		inv, detail, vm := runFleetTrial(&opts, mode, plan)
@@ -189,7 +181,7 @@ func SearchFleet(opts FleetOptions) *FleetResult {
 				Invariant: inv, Detail: detail,
 				Plan: plan, Shrunk: shrinkFleet(&opts, mode, plan),
 			},
-			VMs: opts.VMs, VM: vm,
+			VM:       vm,
 			BaseSeed: opts.Seed, AuditDisabled: opts.DisableIntegrityAudit,
 			Heal: opts.Heal,
 		}
@@ -223,7 +215,7 @@ func shrinkFleet(opts *FleetOptions, mode migration.Mode, plan faults.Plan) faul
 
 // runFleetOrch executes the trial evacuation once.
 func runFleetOrch(opts *FleetOptions, mode migration.Mode, plan faults.Plan) (*fleet.PlanResult, error) {
-	cluster, err := fleet.ParseCluster(TrialFleetCluster(opts.VMs))
+	cluster, err := fleet.ParseCluster(trialFleetCluster())
 	if err != nil {
 		return nil, fmt.Errorf("trial-setup: %w", err)
 	}

@@ -41,8 +41,8 @@ func AblationCompression(o Options) (*Table, error) {
 	}
 	for _, c := range configs {
 		opts := o.runOpts(prof, c.mode, o.Seeds[0])
-		opts.Compress = c.compress
-		opts.HintedCompress = c.hinted
+		opts.Engine.Compress = c.compress
+		opts.Engine.HintedCompression = c.hinted
 		r, err := RunMigration(opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: compression ablation %s: %w", c.name, err)
@@ -95,10 +95,6 @@ func AblationPolicy(o Options) (*Table, error) {
 		Title:  "X4. Mode policy: turn JAVMM off when workload scenarios are unfavourable (§6)",
 		Header: []string{"workload", "garbage %", "young avg", "policy picks", "downtime (forced javmm)", "downtime (policy)"},
 	}
-	bw := o.Bandwidth
-	if bw == 0 {
-		bw = netsim.GigabitEffective
-	}
 	for _, name := range []string{"derby", "scimark"} {
 		prof, err := workload.Lookup(name)
 		if err != nil {
@@ -108,7 +104,7 @@ func AblationPolicy(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pick := ChooseMode(hp, bw)
+		pick := ChooseMode(hp, netsim.GigabitEffective)
 
 		forced, err := RunMigration(o.runOpts(prof, migration.ModeAppAssisted, o.Seeds[0]))
 		if err != nil {
@@ -378,7 +374,7 @@ type CacheRun struct {
 // RunCacheMigration migrates a VM running the memcached-like cache app.
 func RunCacheMigration(mode migration.Mode, memBytes, cacheBytes, bandwidth uint64, warmup time.Duration) (*CacheRun, error) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("cache-vm", clock, mem.NewVersionStore(memBytes/mem.PageSize), 4)
+	dom := hypervisor.NewDomain("cache-vm", clock, mem.NewVersionStore(memBytes/mem.PageSize))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	app, err := cacheapp.Launch(cacheapp.Config{
 		Guest:      g,
@@ -422,12 +418,8 @@ func AblationCache(o Options) (*Table, error) {
 		Title:  "X3. Cache-aware application-assisted migration (memcached-like app, 1 GiB cache in a 2 GiB VM)",
 		Header: []string{"mode", "time", "traffic", "downtime", "hit ratio after", "cache recovery"},
 	}
-	bw := o.Bandwidth
-	if bw == 0 {
-		bw = netsim.GigabitEffective
-	}
 	for _, mode := range []migration.Mode{migration.ModeVanilla, migration.ModeAppAssisted} {
-		r, err := RunCacheMigration(mode, o.MemBytes, 1<<30, bw, 30*time.Second)
+		r, err := RunCacheMigration(mode, o.MemBytes, 1<<30, netsim.GigabitEffective, 30*time.Second)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cache ablation %s: %w", mode, err)
 		}

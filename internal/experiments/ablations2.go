@@ -94,7 +94,7 @@ func AblationDelta(o Options) (*Table, error) {
 	for _, c := range configs {
 		opts := o.runOpts(prof, c.mode, o.Seeds[0])
 		if c.delta {
-			opts.EngineConfig = &migration.Config{DeltaCompression: true}
+			opts.Engine.DeltaCompression = true
 		}
 		r, err := RunMigration(opts)
 		if err != nil {
@@ -203,7 +203,7 @@ func AblationFreePages(o Options) (*Table, error) {
 	for _, c := range cases {
 		opts := o.runOpts(c.prof, migration.ModeVanilla, o.Seeds[0])
 		opts.Warmup = c.warmup
-		opts.SkipFreePages = c.skip
+		opts.Engine.SkipFreePages = c.skip
 		r, err := RunMigration(opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: free-page ablation %s: %w", c.label, err)

@@ -13,11 +13,10 @@ import (
 // 2 GiB VMs, gigabit link, migration halfway through a 10-minute run,
 // ≥3 repetitions.
 type Options struct {
-	MemBytes  uint64
-	Bandwidth uint64
-	Warmup    time.Duration
-	Cooldown  time.Duration
-	Seeds     []int64
+	MemBytes uint64
+	Warmup   time.Duration
+	Cooldown time.Duration
+	Seeds    []int64
 	// ProfileDur is the Figure 5 profiling duration (paper: 10 minutes).
 	ProfileDur time.Duration
 }
@@ -42,13 +41,12 @@ func (o *Options) fillDefaults() {
 
 func (o Options) runOpts(prof workload.Profile, mode migration.Mode, seed int64) RunOpts {
 	return RunOpts{
-		Profile:   prof,
-		Mode:      mode,
-		Seed:      seed,
-		MemBytes:  o.MemBytes,
-		Bandwidth: o.Bandwidth,
-		Warmup:    o.Warmup,
-		Cooldown:  o.Cooldown,
+		Profile:  prof,
+		Mode:     mode,
+		Seed:     seed,
+		MemBytes: o.MemBytes,
+		Warmup:   o.Warmup,
+		Cooldown: o.Cooldown,
 	}
 }
 

@@ -53,19 +53,16 @@ type RunOpts struct {
 	Collector     string
 	AgentReReport *bool
 
-	// Engine extensions under ablation.
-	Compress       bool
-	HintedCompress bool // per-page hints from the agent (§6, X2)
-	ThrottleFactor float64
-	SkipFreePages  bool
-	// MigrationConfig tweaks beyond the defaults; Mode/Compress/Throttle
-	// fields above win.
-	EngineConfig *migration.Config
+	// Engine is the engine configuration under ablation (compression,
+	// free-page skipping, the retry jitter seed, ...). Mode above wins over
+	// Engine.Mode, LKMRewalk turns on Engine.ConservativeLastIter, and
+	// Engine.HintedCompression also has the agent collect the per-page
+	// hints it reads (§6, X2).
+	Engine migration.Config
 
 	// FaultPlan, when non-empty, injects faults into every layer of the run
-	// (resilience experiments); RecoverySeed seeds the retry backoff jitter.
-	FaultPlan    faults.Plan
-	RecoverySeed int64
+	// (resilience experiments).
+	FaultPlan faults.Plan
 	// AllowAbort tolerates a fault-aborted migration: instead of an error,
 	// RunMigration returns the Run with Aborted set and the partial report
 	// (source resumed, destination discarded).
@@ -167,7 +164,7 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		LKMRewalk:     opts.LKMRewalk,
 		Collector:     opts.Collector,
 		AgentReReport: opts.AgentReReport,
-		AgentHints:    opts.HintedCompress,
+		AgentHints:    opts.Engine.HintedCompression,
 	})
 	if err != nil {
 		return nil, err
@@ -196,25 +193,10 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		MigrationStartSecond:      int(vm.Clock.Now() / time.Second),
 	}
 
-	cfg := migration.Config{}
-	if opts.EngineConfig != nil {
-		cfg = *opts.EngineConfig
-	}
+	cfg := opts.Engine
 	cfg.Mode = opts.Mode
-	if opts.Compress {
-		cfg.Compress = true
-	}
-	if opts.ThrottleFactor != 0 {
-		cfg.ThrottleFactor = opts.ThrottleFactor
-	}
 	if opts.LKMRewalk {
 		cfg.ConservativeLastIter = true
-	}
-	if opts.SkipFreePages {
-		cfg.SkipFreePages = true
-	}
-	if opts.HintedCompress {
-		cfg.HintedCompression = true
 	}
 	var inj *faults.Injector
 	if len(opts.FaultPlan) > 0 {
@@ -223,7 +205,6 @@ func RunMigration(opts RunOpts) (*Run, error) {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 		cfg.Faults = inj
-		cfg.Recovery.Seed = opts.RecoverySeed
 	}
 	if opts.ResumeAfterAbort {
 		opts.AllowAbort = true

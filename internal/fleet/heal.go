@@ -38,14 +38,9 @@ type RetryPolicy struct {
 	// MaxAttempts bounds launches per move, first attempt included
 	// (default 3).
 	MaxAttempts int
-	// BaseBackoff/MaxBackoff shape the seeded exponential backoff between
-	// attempts: attempt k waits uniformly in [c/2, c] where
-	// c = BaseBackoff·2^(k−1) clamped to MaxBackoff (defaults 2 s / 30 s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Seed feeds the backoff jitter PRNG; move i draws from Seed+i, so a
-	// whole healing plan replays byte-identically at the same seed
-	// (default 1).
+	// Seed feeds the jitter PRNG of the backoff between attempts (see
+	// healBackoff); move i draws from Seed+i, so a whole healing plan
+	// replays byte-identically at the same seed (default 1).
 	Seed int64
 	// MoveDeadline bounds one move's total healing time, measured from its
 	// first launch (default 10 min). A move past it fails instead of
@@ -63,6 +58,13 @@ type RetryPolicy struct {
 	Breaker BreakerPolicy
 }
 
+// The healing backoff: attempt k waits uniformly in [c/2, c] where
+// c = healBaseBackoff·2^(k−1) clamped to healMaxBackoff.
+const (
+	healBaseBackoff = 2 * time.Second
+	healMaxBackoff  = 30 * time.Second
+)
+
 // noDeadline stands in for an unbounded deadline (about 146 years of
 // virtual time, far from overflowing when added to a warmup).
 const noDeadline = time.Duration(1 << 62)
@@ -79,12 +81,6 @@ var oneAttempt = RetryPolicy{
 func (p *RetryPolicy) fillDefaults() {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = 2 * time.Second
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = 30 * time.Second
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -316,20 +312,14 @@ func (h *healState) settled(moves []MoveResult) bool {
 }
 
 // healBackoff is attempt k's backoff draw: uniform in [c/2, c] with
-// c = BaseBackoff·2^(k−1) clamped to MaxBackoff — the same shape as the
-// engine-level retry backoff, from the move's own seeded PRNG.
-func healBackoff(rng *rand.Rand, pol *RetryPolicy, attempt int) time.Duration {
-	ceil := pol.BaseBackoff
-	for i := 1; i < attempt; i++ {
+// c = healBaseBackoff·2^(k−1) clamped to healMaxBackoff — the same shape as
+// the engine-level retry backoff, from the move's own seeded PRNG.
+func healBackoff(rng *rand.Rand, attempt int) time.Duration {
+	ceil := healBaseBackoff
+	for i := 1; i < attempt && ceil < healMaxBackoff; i++ {
 		ceil *= 2
-		if ceil >= pol.MaxBackoff || ceil <= 0 {
-			ceil = pol.MaxBackoff
-			break
-		}
 	}
-	if ceil > pol.MaxBackoff {
-		ceil = pol.MaxBackoff
-	}
+	ceil = min(ceil, healMaxBackoff)
 	half := ceil / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
@@ -347,7 +337,7 @@ func (h *healState) pickDestination(opts *OrchestratorOptions, res *PlanResult,
 	exclude := map[string]bool{vm.Host: true, failed: true, res.Moves[i].To: true}
 	var openHosts []string
 	for _, host := range opts.Cluster.Hosts {
-		if opts.Faults != nil && opts.Faults.HostDown(host.Name) {
+		if res.faults.HostDown(host.Name) {
 			exclude[host.Name] = true
 			continue
 		}

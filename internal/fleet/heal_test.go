@@ -232,7 +232,6 @@ func TestOneAttemptPolicyRecordsAttempts(t *testing.T) {
 func TestOrchestrateRejectsNegativeOptions(t *testing.T) {
 	for name, bad := range map[string]func(*OrchestratorOptions){
 		"attempts": func(o *OrchestratorOptions) { o.Retry.MaxAttempts = -1 },
-		"backoff":  func(o *OrchestratorOptions) { o.Retry.BaseBackoff = -time.Second },
 		"warmup":   func(o *OrchestratorOptions) { o.Warmup = -time.Second },
 		"stagger":  func(o *OrchestratorOptions) { o.Stagger = -time.Second },
 		"quantum":  func(o *OrchestratorOptions) { o.DecisionQuantum = -time.Second },

@@ -107,9 +107,6 @@ type OrchestratorOptions struct {
 	// waited this long launches at the next admissible tick regardless of
 	// quiet windows or convergence predictions (default 5 min).
 	QuietHorizon time.Duration
-	// GuestQuantum is the guest processes' pause-check granularity
-	// (default 1 ms).
-	GuestQuantum time.Duration
 
 	// Attach, when non-nil, runs once per booted VM (in move order, before
 	// any virtual time passes) to attach extra applications — e.g. a cache
@@ -120,13 +117,10 @@ type OrchestratorOptions struct {
 
 	// Engine overrides engine defaults; Mode above wins over Engine.Mode.
 	Engine migration.Config
-	// Faults, when non-nil, attaches the fault-injection plane to every
-	// shared link, engine, destination, LKM and bus — the chaos runner's
-	// hook into batch plans.
-	Faults *faults.Injector
-	// FaultPlan, when Faults is nil, is materialized into an injector on the
+	// FaultPlan, when non-empty, is materialized into an injector on the
 	// plan's own clock (the clock does not exist before Orchestrate runs, so
-	// callers cannot build timed injectors themselves).
+	// callers cannot build timed injectors themselves) and attached to every
+	// shared link, engine, destination, LKM and bus.
 	FaultPlan faults.Plan
 	// Collect attaches the full fleet observability plane (Result.Obs).
 	Collect bool
@@ -135,9 +129,10 @@ type OrchestratorOptions struct {
 	// SLA, when non-nil, prices each completed migration and aggregates
 	// the fleet cost — the objective the cycle-aware ordering minimizes.
 	SLA *sla.Model
-	// SkipVerify disables the per-VM post-migration consistency check.
-	SkipVerify bool
 }
+
+// guestQuantum is the guest processes' pause-check granularity.
+const guestQuantum = time.Millisecond
 
 func (o *OrchestratorOptions) fillDefaults() error {
 	if o.Cluster == nil {
@@ -159,16 +154,12 @@ func (o *OrchestratorOptions) fillDefaults() error {
 	if o.QuietHorizon == 0 {
 		o.QuietHorizon = 5 * time.Minute
 	}
-	if o.GuestQuantum == 0 {
-		o.GuestQuantum = time.Millisecond
-	}
 	if !o.Retry.Enabled {
 		o.Retry = oneAttempt
 		return nil
 	}
-	if r := o.Retry; r.MaxAttempts < 0 || r.BaseBackoff < 0 || r.MaxBackoff < 0 {
-		return fmt.Errorf("fleet: orchestrate: negative retry budget (attempts %d, backoff %v/%v)",
-			r.MaxAttempts, r.BaseBackoff, r.MaxBackoff)
+	if o.Retry.MaxAttempts < 0 {
+		return fmt.Errorf("fleet: orchestrate: negative retry budget (attempts %d)", o.Retry.MaxAttempts)
 	}
 	o.Retry.fillDefaults()
 	return nil
@@ -327,7 +318,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 			return nil, err
 		}
 	}
-	res := &PlanResult{Ordering: opts.Ordering, faults: opts.Faults}
+	res := &PlanResult{Ordering: opts.Ordering}
 	if len(moves) == 0 {
 		// An empty plan is a successful no-op: nothing to boot, nothing to
 		// move, empty accounting.
@@ -336,12 +327,12 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 	n := len(moves)
 
 	clock := simclock.New()
-	if opts.Faults == nil && len(opts.FaultPlan) > 0 {
-		inj, err := faults.NewInjector(clock, opts.FaultPlan)
-		if err != nil {
+	var inj *faults.Injector
+	if len(opts.FaultPlan) > 0 {
+		var err error
+		if inj, err = faults.NewInjector(clock, opts.FaultPlan); err != nil {
 			return nil, fmt.Errorf("fleet: fault plan: %w", err)
 		}
-		opts.Faults = inj
 		res.faults = inj
 	}
 	sched := simclock.NewScheduler(clock)
@@ -358,14 +349,14 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 	res.fabric = fabric
 	for _, l := range opts.Cluster.Links {
 		res.linkNames = append(res.linkNames, l.Name)
-		if opts.Faults != nil {
-			fabric.SetLinkFaults(l.Name, opts.Faults)
+		if inj != nil {
+			fabric.SetLinkFaults(l.Name, inj)
 		}
 	}
-	if opts.Faults != nil {
+	if inj != nil {
 		// Host-scoped fault rules (host.crash) make the fabric's ports refuse
 		// transfers toward a downed destination host, fail-fast.
-		fabric.SetHostFaults(opts.Faults)
+		fabric.SetHostFaults(inj)
 	}
 
 	res.Moves = make([]MoveResult, n)
@@ -441,8 +432,8 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 
 		cfg := opts.Engine
 		cfg.Mode = opts.Mode
-		if opts.Faults != nil {
-			cfg.Faults = opts.Faults
+		if inj != nil {
+			cfg.Faults = inj
 		}
 		if opts.Retry.Enabled {
 			// Healing retries reuse the abort's ResumeToken; that only saves
@@ -480,15 +471,14 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 
 	for i := range vms {
 		vm, exec := vms[i], execs[i]
-		q := opts.GuestQuantum
 		sched.Go(vm.Dom.Name()+"/guest", func() {
 			for remaining > 0 {
 				if vm.Dom.Paused() {
 					// Stop-and-copy (or post-copy pause): the guest is
 					// frozen; idle this quantum without executing.
-					clock.Advance(q)
+					clock.Advance(guestQuantum)
 				} else {
-					exec.Run(q)
+					exec.Run(guestQuantum)
 				}
 			}
 		})
@@ -562,9 +552,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 					// Verify NOW, while this process still holds the baton:
 					// no other process has run since the engine finished, so
 					// the source store is exactly what stop-and-copy shipped.
-					if !opts.SkipVerify {
-						m.VerifyErr = m.src.VerifyImage(report, nil)
-					}
+					m.VerifyErr = m.src.VerifyImage(report, nil)
 					return
 				}
 				// Failure: classify, feed the breaker, keep the freshest
@@ -643,7 +631,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 				if rng == nil {
 					rng = rand.New(rand.NewSource(pol.Seed + int64(i)))
 				}
-				d := healBackoff(rng, pol, heal.attempts[i])
+				d := healBackoff(rng, heal.attempts[i])
 				att.Backoff = d
 				m.HealBackoff += d
 				heal.notBefore[i] = clock.Now() + d

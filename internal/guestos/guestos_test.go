@@ -16,7 +16,7 @@ import (
 func testGuest(t *testing.T) (*Guest, *simclock.Clock) {
 	t.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("guest", clock, mem.NewVersionStore(8192), 2)
+	dom := hypervisor.NewDomain("guest", clock, mem.NewVersionStore(8192))
 	g := NewGuest(dom, LKMConfig{Clock: clock})
 	return g, clock
 }

@@ -70,12 +70,6 @@ type (
 type LKMConfig struct {
 	// Clock is the virtual clock (required).
 	Clock *simclock.Clock
-	// WalkCostPerPage is the virtual cost of one page-table-walk step in
-	// the final bitmap update. Default 100 ns.
-	WalkCostPerPage time.Duration
-	// CacheCostPerPage is the virtual cost of one PFN-cache operation in
-	// the final bitmap update. Default 100 ns.
-	CacheCostPerPage time.Duration
 	// PrepareTimeout bounds how long the LKM waits for applications to
 	// become suspension-ready before falling back to transferring their
 	// skip-over areas in full. Zero means the 10 s default; a negative
@@ -93,13 +87,14 @@ type LKMConfig struct {
 	FinalUpdateRewalk bool
 }
 
+// Virtual costs of the final bitmap update: one page-table-walk step and
+// one PFN-cache operation.
+const (
+	walkCostPerPage  = 100 * time.Nanosecond
+	cacheCostPerPage = 100 * time.Nanosecond
+)
+
 func (c *LKMConfig) fillDefaults() {
-	if c.WalkCostPerPage == 0 {
-		c.WalkCostPerPage = 100 * time.Nanosecond
-	}
-	if c.CacheCostPerPage == 0 {
-		c.CacheCostPerPage = 100 * time.Nanosecond
-	}
 	if c.PrepareTimeout == 0 {
 		c.PrepareTimeout = 10 * time.Second
 	}
@@ -280,12 +275,6 @@ func (l *LKM) TransferBitmap() *mem.Bitmap { return l.transfer }
 
 // BitmapBytes returns the transfer bitmap's memory cost: one bit per page.
 func (l *LKM) BitmapBytes() uint64 { return (l.guest.Dom.NumPages() + 7) / 8 }
-
-// ArmDirtyEpoch starts a new dirty epoch in the hypervisor on the daemon's
-// behalf and returns its number. abortRun calls this at the instant the
-// source VM resumes, so a later Resume can ask exactly which pages the guest
-// wrote while the migration was interrupted.
-func (l *LKM) ArmDirtyEpoch() uint64 { return l.guest.Dom.BeginDirtyEpoch() }
 
 // DirtySince returns the pages the guest dirtied since epoch was armed, or
 // ok=false when the epoch is stale (a different migration armed a newer one)
@@ -599,8 +588,8 @@ func (l *LKM) finalUpdateForApp(st *appState, areas []mem.VARange) {
 		l.noteCacheSize(st)
 		const baseCompareCost = 2 * time.Microsecond
 		l.LastFinalUpdate += baseCompareCost +
-			time.Duration(walked)*l.cfg.WalkCostPerPage +
-			time.Duration(cacheOps)*l.cfg.CacheCostPerPage
+			time.Duration(walked)*walkCostPerPage +
+			time.Duration(cacheOps)*cacheCostPerPage
 		return
 	}
 
@@ -650,8 +639,8 @@ func (l *LKM) finalUpdateForApp(st *appState, areas []mem.VARange) {
 	// paper reports the final update completing within 300 µs (§5.3).
 	const baseCompareCost = 2 * time.Microsecond
 	l.LastFinalUpdate += baseCompareCost +
-		time.Duration(walked)*l.cfg.WalkCostPerPage +
-		time.Duration(cacheOps)*l.cfg.CacheCostPerPage
+		time.Duration(walked)*walkCostPerPage +
+		time.Duration(cacheOps)*cacheCostPerPage
 }
 
 // restoreAll restores full transfer for an application's entire skip-over

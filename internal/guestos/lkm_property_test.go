@@ -23,7 +23,7 @@ func TestLKMRandomizedInvariants(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 977))
 		clock := simclock.New()
-		dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(16384), 2)
+		dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(16384))
 		g := NewGuest(dom, LKMConfig{Clock: clock})
 
 		// Two model applications with their own mapped regions.
@@ -123,7 +123,7 @@ func TestLKMRandomizedInvariants(t *testing.T) {
 func TestLKMAbortFromEveryState(t *testing.T) {
 	build := func() (*Guest, *hypervisor.Endpoint, *Socket, *Process) {
 		clock := simclock.New()
-		dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(4096), 1)
+		dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(4096))
 		g := NewGuest(dom, LKMConfig{Clock: clock})
 		proc := g.NewProcess("app")
 		r := mem.VARange{Start: 0x100000, End: 0x100000 + 32*mem.PageSize}

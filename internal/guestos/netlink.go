@@ -77,7 +77,6 @@ func (s *Socket) Send(msg any) error {
 		return fmt.Errorf("guestos: netlink send from app %d: no kernel receiver", s.app)
 	}
 	if s.bus.faults.Fire(faults.SiteNetlinkLoss) {
-		s.bus.dropped++
 		return nil
 	}
 	if t := s.bus.tracer; t != nil {
@@ -85,17 +84,14 @@ func (s *Socket) Send(msg any) error {
 			obs.Str("dir", "send"), obs.Int("app", int(s.app)))
 	}
 	if r, ok := s.bus.faults.FireRule(faults.SiteNetlinkDelay); ok {
-		s.bus.delayed++
 		bus, app := s.bus, s.app
 		bus.faults.After(r.Delay, func() {
 			if bus.kernel != nil {
-				bus.toKernel++
 				bus.kernel(app, msg)
 			}
 		})
 		return nil
 	}
-	s.bus.toKernel++
 	s.bus.kernel(s.app, msg)
 	return nil
 }
@@ -110,15 +106,11 @@ func (s *Socket) Close() {
 // Bus is the netlink multicast group shared by the LKM and applications
 // (paper §3.3.1: bi-directional, asynchronous, capable of multicasting).
 type Bus struct {
-	subs     map[AppID]func(msg any)
-	kernel   func(from AppID, msg any)
-	nextID   AppID
-	toKernel uint64
-	toApps   uint64
-	dropped  uint64
-	delayed  uint64
-	tracer   *obs.Tracer
-	faults   *faults.Injector
+	subs   map[AppID]func(msg any)
+	kernel func(from AppID, msg any)
+	nextID AppID
+	tracer *obs.Tracer
+	faults *faults.Injector
 }
 
 // SetTracer attaches a tracer: every kernel-bound send and every multicast
@@ -174,28 +166,15 @@ func (b *Bus) Multicast(msg any) {
 			continue
 		}
 		if b.faults.Fire(faults.SiteNetlinkLoss) {
-			b.dropped++
 			continue
 		}
 		if r, ok := b.faults.FireRule(faults.SiteNetlinkDelay); ok {
-			b.delayed++
-			h := h
-			b.faults.After(r.Delay, func() {
-				b.toApps++
-				h(msg)
-			})
+			b.faults.After(r.Delay, func() { h(msg) })
 			continue
 		}
-		b.toApps++
 		h(msg)
 	}
 }
 
 // Subscribers returns the number of live subscriptions.
 func (b *Bus) Subscribers() int { return len(b.subs) }
-
-// Stats returns (messages to kernel, multicast deliveries to apps).
-func (b *Bus) Stats() (toKernel, toApps uint64) { return b.toKernel, b.toApps }
-
-// FaultStats returns (messages dropped, messages delayed) by injection.
-func (b *Bus) FaultStats() (dropped, delayed uint64) { return b.dropped, b.delayed }

@@ -130,7 +130,7 @@ func TestPFNCacheRandomizedAgainstMap(t *testing.T) {
 // cached, and cleared bits still equal cache entries.
 func TestPFNCacheFinalUpdateRewalk(t *testing.T) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("guest", clock, mem.NewVersionStore(8192), 2)
+	dom := hypervisor.NewDomain("guest", clock, mem.NewVersionStore(8192))
 	g := NewGuest(dom, LKMConfig{Clock: clock, FinalUpdateRewalk: true})
 	h := newAppHarness(g, clock, "app")
 	mapped := pagesAt(0x400000, 256)

@@ -45,25 +45,20 @@ type Domain struct {
 	pauseCount  int
 
 	// Counters for experiment reporting.
-	writes      uint64 // guest page writes observed
-	dirtySetOps uint64 // writes that newly dirtied a page this round
-	vcpus       int
+	writes      uint64              // guest page writes observed
+	dirtySetOps uint64              // writes that newly dirtied a page this round
 	pageFault   func(run []mem.PFN) // optional pre-write fault hook (post-copy)
 	one         [1]mem.PFN          // WritePage's one-page run for the hook
 }
 
 // NewDomain creates a domain with the given memory, backed by store. The
 // store's page count fixes the domain's pseudo-physical size.
-func NewDomain(name string, clock *simclock.Clock, store mem.PageStore, vcpus int) *Domain {
-	if vcpus <= 0 {
-		vcpus = 1
-	}
+func NewDomain(name string, clock *simclock.Clock, store mem.PageStore) *Domain {
 	return &Domain{
 		name:  name,
 		clock: clock,
 		store: store,
 		dirty: mem.NewBitmap(store.NumPages()),
-		vcpus: vcpus,
 	}
 }
 
@@ -75,9 +70,6 @@ func (d *Domain) NumPages() uint64 { return d.store.NumPages() }
 
 // MemoryBytes returns the domain's memory size in bytes.
 func (d *Domain) MemoryBytes() uint64 { return d.store.NumPages() * mem.PageSize }
-
-// VCPUs returns the number of virtual CPUs.
-func (d *Domain) VCPUs() int { return d.vcpus }
 
 // Store exposes the domain's page store (the migration engine exports pages
 // from it; the destination imports into its own).

@@ -11,7 +11,7 @@ import (
 )
 
 func newTestDomain(pages uint64) *Domain {
-	return NewDomain("test", simclock.New(), mem.NewVersionStore(pages), 4)
+	return NewDomain("test", simclock.New(), mem.NewVersionStore(pages))
 }
 
 func TestDomainBasics(t *testing.T) {
@@ -24,16 +24,6 @@ func TestDomainBasics(t *testing.T) {
 	}
 	if d.MemoryBytes() != 16*mem.PageSize {
 		t.Fatalf("MemoryBytes = %d", d.MemoryBytes())
-	}
-	if d.VCPUs() != 4 {
-		t.Fatalf("VCPUs = %d", d.VCPUs())
-	}
-}
-
-func TestDomainVCPUFloor(t *testing.T) {
-	d := NewDomain("x", simclock.New(), mem.NewVersionStore(1), 0)
-	if d.VCPUs() != 1 {
-		t.Fatalf("VCPUs = %d, want floor of 1", d.VCPUs())
 	}
 }
 
@@ -138,7 +128,7 @@ func TestDirtyWordPeeksCurrentRound(t *testing.T) {
 
 func TestPauseAccounting(t *testing.T) {
 	clock := simclock.New()
-	d := NewDomain("x", clock, mem.NewVersionStore(4), 1)
+	d := NewDomain("x", clock, mem.NewVersionStore(4))
 	clock.Advance(time.Second)
 	d.Pause()
 	d.Pause() // idempotent

@@ -95,12 +95,6 @@ func Attach(j *jvm.JVM, g *guestos.Guest, proc *guestos.Process) *Agent {
 	return AttachHeap(j, g, proc, Options{})
 }
 
-// AttachRegional loads the agent for the garbage-first-style regional
-// collector, with per-GC re-reporting enabled.
-func AttachRegional(h *jvm.RegionalHeap, g *guestos.Guest, proc *guestos.Process) *Agent {
-	return AttachHeap(h, g, proc, Options{ReReportOnGC: true})
-}
-
 // growNotifier is optionally implemented by collectors whose young
 // generation expands region-by-region between collections.
 type growNotifier interface {

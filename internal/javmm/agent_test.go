@@ -24,7 +24,7 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536), 2)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	proc := g.NewProcess("java")
 	j, err := jvm.New(jvm.Config{
@@ -246,7 +246,7 @@ type regionalRig struct {
 func newRegionalRig(t *testing.T, reReport bool) *regionalRig {
 	t.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(131072), 2)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(131072))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	proc := g.NewProcess("java-g1")
 	h, err := jvm.NewRegional(jvm.RegionalConfig{

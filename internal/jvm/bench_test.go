@@ -13,7 +13,7 @@ import (
 func benchJVM(b *testing.B) (*JVM, *simclock.Clock) {
 	b.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(262144), 4) // 1 GiB
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(262144)) // 1 GiB
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	j, err := New(Config{
 		Proc:              g.NewProcess("java"),
@@ -73,7 +73,7 @@ func BenchmarkMinorGCCycle(b *testing.B) {
 // BenchmarkRegionalMinorGCCycle measures the G1-style evacuation cycle.
 func BenchmarkRegionalMinorGCCycle(b *testing.B) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(262144), 4)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(262144))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	h, err := NewRegional(RegionalConfig{
 		Proc:           g.NewProcess("java-g1"),

@@ -261,7 +261,7 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 	// committed young generation at the ALB target (floored by live data).
 	if j.albTarget > 0 && !plan.enforced {
 		livePages := (j.fromUsed + mem.PageSize - 1) / mem.PageSize
-		minForLive := livePages * uint64(j.cfg.SurvivorRatio+2) * mem.PageSize
+		minForLive := livePages * uint64(survivorRatio+2) * mem.PageSize
 		desired := j.albTarget
 		if desired < minForLive {
 			desired = minForLive
@@ -278,11 +278,11 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 	}
 	// Adaptive sizing (skipped for enforced GCs: the young range must stay
 	// stable through the migration handshake; and while ALB pins the size).
-	if !j.cfg.DisableAdaptiveSizing && !plan.enforced && j.albTarget == 0 && j.MinorGCs > 0 {
+	if !plan.enforced && j.albTarget == 0 && j.MinorGCs > 0 {
 		interval := now - j.lastMinorGCAt
 		maxY := pageCeil(j.cfg.MaxYoungBytes)
 		switch {
-		case interval < j.cfg.GrowBelow && j.youngCommitted < maxY:
+		case interval < growBelow && j.youngCommitted < maxY:
 			next := j.youngCommitted * 2
 			if next > maxY {
 				next = maxY
@@ -291,7 +291,7 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 				j.gc = nil
 				return GCStats{}, err
 			}
-		case interval > j.cfg.ShrinkAbove && j.youngCommitted > pageCeil(j.cfg.InitialYoungBytes):
+		case interval > shrinkAbove && j.youngCommitted > pageCeil(j.cfg.InitialYoungBytes):
 			next := j.youngCommitted / 2
 			if next < pageCeil(j.cfg.InitialYoungBytes) {
 				next = pageCeil(j.cfg.InitialYoungBytes)
@@ -300,7 +300,7 @@ func (j *JVM) CompleteMinorGC() (GCStats, error) {
 			// survivor space is committed/(ratio+2) rounded DOWN to pages,
 			// so compute the floor in pages.
 			livePages := (j.fromUsed + mem.PageSize - 1) / mem.PageSize
-			minForLive := livePages * uint64(j.cfg.SurvivorRatio+2) * mem.PageSize
+			minForLive := livePages * uint64(survivorRatio+2) * mem.PageSize
 			if next < minForLive {
 				next = minForLive
 			}
@@ -369,7 +369,7 @@ func (j *JVM) BeginFullGC() time.Duration {
 		OldUsedAfter:  j.oldUsed - garbage,
 		Garbage:       garbage,
 	}
-	d := j.cfg.FullGCBase + time.Duration(float64(j.oldUsed)*j.cfg.FullNsPB)*time.Nanosecond
+	d := fullGCBase + time.Duration(float64(j.oldUsed)*fullNsPB)*time.Nanosecond
 	st.Duration = d
 	j.gc = &pendingGC{kind: FullGC, duration: d, stats: st, oldAfter: st.OldUsedAfter,
 		span: j.tracer.Begin(obs.TrackJVM, obs.KindGC, gcSpanName(FullGC, false),

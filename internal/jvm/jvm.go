@@ -33,15 +33,9 @@ type Config struct {
 	Clock *simclock.Clock  // required
 	Rand  *rand.Rand       // deterministic noise source; defaults to seed 1
 
-	// HeapBase is the VA where the heap mapping starts. Default 1 GiB.
-	HeapBase mem.VA
-
 	// Young generation sizing (bytes; page-aligned internally).
 	InitialYoungBytes uint64 // committed at startup (default 64 MiB)
 	MaxYoungBytes     uint64 // -Xmn ceiling (default 1 GiB)
-	// SurvivorRatio is HotSpot's -XX:SurvivorRatio: Eden is Ratio times
-	// the size of one survivor space (default 8, so Eden:From:To = 8:1:1).
-	SurvivorRatio int
 
 	// MaxOldBytes caps the old generation (default 1 GiB).
 	MaxOldBytes uint64
@@ -69,25 +63,10 @@ type Config struct {
 	MinorGCBase   time.Duration // default 50 ms
 	MinorCopyNsPB float64       // ns per live byte copied, default 15
 	MinorScanNsPB float64       // ns per committed young byte, default 0.6
-	// Full GC duration model: Base + oldUsed*FullNsPB. The default gives
-	// the multi-second full-GC pauses the paper observes (§4.2: ~4 s for
-	// a few hundred MB of old generation).
-	FullGCBase time.Duration // default 200 ms
-	FullNsPB   float64       // ns per old byte, default 8
 
 	// SafepointDelay is how long Java threads take to reach a Safepoint
 	// when a GC is requested (paper Figure 8(b): 0.7 s for compiler).
 	SafepointDelay time.Duration
-
-	// AdaptiveSizing grows the committed young generation when Eden
-	// refills quickly and shrinks it when refills are slow, the behaviour
-	// behind the paper's observation that allocation-heavy workloads grow
-	// the young gen to its maximum (§4.2). Default on.
-	DisableAdaptiveSizing bool
-	// GrowBelow / ShrinkAbove are the inter-GC interval thresholds for
-	// adaptive sizing (defaults 3 s / 30 s).
-	GrowBelow   time.Duration
-	ShrinkAbove time.Duration
 
 	// OldHotBytes, when non-zero, confines MutateOld to a hot region of
 	// that size at the base of the old generation, rewritten cyclically —
@@ -102,6 +81,26 @@ type Config struct {
 	CodeCacheBytes uint64
 }
 
+// Heap constants shared by both collectors.
+const (
+	// heapBase is the VA where the heap mapping starts.
+	heapBase mem.VA = 1 << 30
+	// survivorRatio is HotSpot's -XX:SurvivorRatio: Eden is eight times
+	// the size of one survivor space, so Eden:From:To = 8:1:1.
+	survivorRatio = 8
+	// The full GC duration model is fullGCBase + oldUsed·fullNsPB ns. It
+	// gives the multi-second full-GC pauses the paper observes (§4.2: ~4 s
+	// for a few hundred MB of old generation).
+	fullGCBase = 200 * time.Millisecond
+	fullNsPB   = 8.0
+	// Adaptive sizing grows the committed young generation when Eden
+	// refills within growBelow and shrinks it when refills take longer than
+	// shrinkAbove, the behaviour behind the paper's observation that
+	// allocation-heavy workloads grow the young gen to its maximum (§4.2).
+	growBelow   = 3 * time.Second
+	shrinkAbove = 30 * time.Second
+)
+
 func (c *Config) fillDefaults() error {
 	if c.Proc == nil {
 		return errors.New("jvm: Config.Proc is required")
@@ -112,17 +111,11 @@ func (c *Config) fillDefaults() error {
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(1))
 	}
-	if c.HeapBase == 0 {
-		c.HeapBase = 1 << 30
-	}
 	if c.InitialYoungBytes == 0 {
 		c.InitialYoungBytes = 64 << 20
 	}
 	if c.MaxYoungBytes == 0 {
 		c.MaxYoungBytes = 1 << 30
-	}
-	if c.SurvivorRatio == 0 {
-		c.SurvivorRatio = 8
 	}
 	if c.MaxOldBytes == 0 {
 		c.MaxOldBytes = 1 << 30
@@ -151,20 +144,8 @@ func (c *Config) fillDefaults() error {
 	if c.MinorScanNsPB == 0 {
 		c.MinorScanNsPB = 0.6
 	}
-	if c.FullGCBase == 0 {
-		c.FullGCBase = 200 * time.Millisecond
-	}
-	if c.FullNsPB == 0 {
-		c.FullNsPB = 8
-	}
 	if c.SafepointDelay == 0 {
 		c.SafepointDelay = 20 * time.Millisecond
-	}
-	if c.GrowBelow == 0 {
-		c.GrowBelow = 3 * time.Second
-	}
-	if c.ShrinkAbove == 0 {
-		c.ShrinkAbove = 30 * time.Second
 	}
 	if c.CodeCacheBytes == 0 {
 		c.CodeCacheBytes = 48 << 20
@@ -320,7 +301,7 @@ func New(cfg Config) (*JVM, error) {
 		proc:        cfg.Proc,
 		clock:       cfg.Clock,
 		rng:         cfg.Rand,
-		youngBase:   cfg.HeapBase,
+		youngBase:   heapBase,
 		fromIsFirst: true,
 	}
 	// Old generation sits above the maximum young extent so young growth
@@ -378,7 +359,7 @@ func (j *JVM) commitYoung(newSize uint64) error {
 // layoutYoung recomputes Eden/survivor boundaries for the committed size.
 func (j *JVM) layoutYoung() {
 	pages := j.youngCommitted / mem.PageSize
-	survPages := pages / uint64(j.cfg.SurvivorRatio+2)
+	survPages := pages / uint64(survivorRatio+2)
 	if survPages == 0 {
 		survPages = 1
 	}
@@ -527,9 +508,6 @@ func (j *JVM) YoungUsed() uint64 { return j.edenUsed + j.fromUsed }
 // OldUsed returns old-generation occupancy in bytes.
 func (j *JVM) OldUsed() uint64 { return j.oldUsed }
 
-// OldCommitted returns committed old-generation bytes.
-func (j *JVM) OldCommitted() uint64 { return j.oldCommitted }
-
 // EdenFree returns the bytes left before Eden fills.
 func (j *JVM) EdenFree() uint64 { return j.edenBytes - j.edenUsed }
 
@@ -601,8 +579,8 @@ func (j *JVM) MutateOld(n int) {
 // young generation keeps collecting normally — just more often, since Eden is
 // smaller; that GC-frequency increase is ALB's performance tradeoff (§2).
 func (j *JVM) ALBShrink(target uint64) {
-	if target < 4*mem.PageSize*uint64(j.cfg.SurvivorRatio+2) {
-		target = 4 * mem.PageSize * uint64(j.cfg.SurvivorRatio+2)
+	if target < 4*mem.PageSize*uint64(survivorRatio+2) {
+		target = 4 * mem.PageSize * uint64(survivorRatio+2)
 	}
 	j.albTarget = pageCeil(target)
 }

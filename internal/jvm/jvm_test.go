@@ -16,7 +16,7 @@ import (
 func newTestJVM(t *testing.T, cfg Config) (*JVM, *guestos.Guest, *simclock.Clock) {
 	t.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536), 4)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	proc := g.NewProcess("java")
 	cfg.Proc = proc
@@ -70,7 +70,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("New without Proc succeeded")
 	}
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536), 1)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(65536))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	if _, err := New(Config{Proc: g.NewProcess("x")}); err == nil {
 		t.Fatal("New without Clock succeeded")
@@ -209,7 +209,7 @@ func TestSurvivorOverflowPromotesEarly(t *testing.T) {
 func TestAdaptiveGrowthUnderPressure(t *testing.T) {
 	j, _, clock := newTestJVM(t, Config{EdenSurvival: 0.02})
 	before := j.YoungCommitted()
-	// Rapid refills: every GC happens well inside GrowBelow (3s).
+	// Rapid refills: every GC happens well inside growBelow (3s).
 	for i := 0; i < 4; i++ {
 		j.Allocate(j.EdenFree())
 		d := j.BeginMinorGC(false)
@@ -251,7 +251,7 @@ func TestAdaptiveShrinkWhenIdle(t *testing.T) {
 		}
 	}
 	grown := j.YoungCommitted()
-	// Then a long-idle GC: interval > ShrinkAbove (30s).
+	// Then a long-idle GC: interval > shrinkAbove (30s).
 	clock.Advance(40 * time.Second)
 	j.Allocate(j.EdenFree())
 	d := j.BeginMinorGC(false)
@@ -340,7 +340,7 @@ func TestEnforcedGCSkipsAdaptiveResizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed := j.YoungCommitted()
-	// Enforced GC right after (interval < GrowBelow would normally grow).
+	// Enforced GC right after (interval < growBelow would normally grow).
 	j.Allocate(1 << 20)
 	d = j.BeginMinorGC(true)
 	clock.Advance(d)
@@ -372,7 +372,7 @@ func TestFullGCCollectsOld(t *testing.T) {
 		t.Fatal("no old data to collect")
 	}
 	d := j.BeginFullGC()
-	if d < j.cfg.FullGCBase {
+	if d < fullGCBase {
 		t.Fatalf("full GC duration %v below base", d)
 	}
 	clock.Advance(d)

@@ -94,7 +94,6 @@ type RegionalConfig struct {
 	Clock *simclock.Clock
 	Rand  *rand.Rand
 
-	HeapBase mem.VA // default 1 GiB
 	// RegionBytes is the fixed region size (default 32 MiB; page-aligned).
 	RegionBytes uint64
 	// HeapBytes is the heap's total VA footprint (default 1.5 GiB).
@@ -111,9 +110,7 @@ type RegionalConfig struct {
 	MinorCopyNsPB float64       // default 15
 	MinorScanNsPB float64       // default 0.6 (per committed young byte)
 
-	FullGCBase         time.Duration // default 200 ms
-	FullNsPB           float64       // default 8
-	OldGarbageFraction float64       // default 0.3
+	OldGarbageFraction float64 // default 0.3
 
 	SafepointDelay time.Duration // default 20 ms
 	CodeCacheBytes uint64        // default 48 MiB
@@ -128,9 +125,6 @@ func (c *RegionalConfig) fillDefaults() error {
 	}
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(1))
-	}
-	if c.HeapBase == 0 {
-		c.HeapBase = 1 << 30
 	}
 	if c.RegionBytes == 0 {
 		c.RegionBytes = 32 << 20
@@ -166,12 +160,6 @@ func (c *RegionalConfig) fillDefaults() error {
 	if c.MinorScanNsPB == 0 {
 		c.MinorScanNsPB = 0.6
 	}
-	if c.FullGCBase == 0 {
-		c.FullGCBase = 200 * time.Millisecond
-	}
-	if c.FullNsPB == 0 {
-		c.FullNsPB = 8
-	}
 	if c.OldGarbageFraction == 0 {
 		c.OldGarbageFraction = 0.3
 	}
@@ -197,7 +185,7 @@ type pendingRegionalGC struct {
 	span *obs.Span // open GC span, ended at Complete time
 }
 
-// NewRegional boots a regional heap: the region pool is laid out at HeapBase
+// NewRegional boots a regional heap: the region pool is laid out at heapBase
 // and the code cache above it. Regions are mapped when taken from the free
 // list and unmapped when returned.
 func NewRegional(cfg RegionalConfig) (*RegionalHeap, error) {
@@ -215,7 +203,7 @@ func NewRegional(cfg RegionalConfig) (*RegionalHeap, error) {
 	for i := n - 1; i >= 0; i-- {
 		h.free = append(h.free, i)
 	}
-	h.codeBase = cfg.HeapBase + mem.VA(uint64(n)*cfg.RegionBytes)
+	h.codeBase = heapBase + mem.VA(uint64(n)*cfg.RegionBytes)
 	h.codeBytes = pageCeil(cfg.CodeCacheBytes)
 	h.codeDirty = h.codeBase
 	if err := h.proc.Alloc(mem.VARange{Start: h.codeBase, End: h.codeBase + mem.VA(h.codeBytes)}); err != nil {
@@ -229,7 +217,7 @@ func NewRegional(cfg RegionalConfig) (*RegionalHeap, error) {
 
 // regionRange returns region i's VA range.
 func (h *RegionalHeap) regionRange(i int) mem.VARange {
-	start := h.cfg.HeapBase + mem.VA(uint64(i)*h.cfg.RegionBytes)
+	start := heapBase + mem.VA(uint64(i)*h.cfg.RegionBytes)
 	return mem.VARange{Start: start, End: start + mem.VA(h.cfg.RegionBytes)}
 }
 
@@ -580,7 +568,7 @@ func (h *RegionalHeap) BeginFullGC() time.Duration {
 		OldUsedAfter:  used - garbage,
 		Garbage:       garbage,
 	}
-	d := h.cfg.FullGCBase + time.Duration(float64(used)*h.cfg.FullNsPB)*time.Nanosecond
+	d := fullGCBase + time.Duration(float64(used)*fullNsPB)*time.Nanosecond
 	st.Duration = d
 	h.gc = &pendingRegionalGC{kind: FullGC, stats: st, oldAfter: st.OldUsedAfter,
 		span: h.tracer.Begin(obs.TrackJVM, obs.KindGC, gcSpanName(FullGC, false),
@@ -777,9 +765,6 @@ func (h *RegionalHeap) OldUsed() uint64 {
 	}
 	return t
 }
-
-// FreeRegions returns the free-pool size.
-func (h *RegionalHeap) FreeRegions() int { return len(h.free) }
 
 // CheckConservation verifies the allocation ledger.
 func (h *RegionalHeap) CheckConservation() error {

@@ -15,7 +15,7 @@ import (
 func newTestRegional(t *testing.T, cfg RegionalConfig) (*RegionalHeap, *guestos.Guest, *simclock.Clock) {
 	t.Helper()
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(131072), 4) // 512 MiB
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(131072)) // 512 MiB
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	proc := g.NewProcess("java-g1")
 	cfg.Proc = proc
@@ -55,7 +55,7 @@ func TestRegionalValidation(t *testing.T) {
 		t.Fatal("missing proc accepted")
 	}
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(1024), 1)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(1024))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	if _, err := NewRegional(RegionalConfig{Proc: g.NewProcess("x")}); err == nil {
 		t.Fatal("missing clock accepted")

@@ -113,7 +113,7 @@ func newScanRig(seed int64, chunkPages uint64) *scanRig {
 	const n = 2048 + 37
 	rng := rand.New(rand.NewSource(seed))
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(n), 1)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(n))
 	if err := dom.EnableLogDirty(); err != nil {
 		panic(err)
 	}
@@ -400,7 +400,7 @@ func TestReceivePagesStopsAtRefusedPage(t *testing.T) {
 func TestChunkFlushAllocatesNothing(t *testing.T) {
 	const n = 8192
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(n), 1)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(n))
 	if err := dom.EnableLogDirty(); err != nil {
 		t.Fatal(err)
 	}

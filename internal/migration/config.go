@@ -46,9 +46,6 @@ type Config struct {
 	// interleaves guest execution with page pushes. Default 1024 pages
 	// (4 MiB ≈ 34 ms on gigabit).
 	ChunkPages uint64
-	// ResumptionTime models reconnecting devices and activating the VM at
-	// the destination; the paper measures ~170 ms (§5.3).
-	ResumptionTime time.Duration
 
 	// PageExamineCost and PageCopyCost model the daemon's CPU time per
 	// page considered and per page actually sent; used for the §5.3 CPU
@@ -57,24 +54,18 @@ type Config struct {
 	PageCopyCost    time.Duration
 
 	// Compress enables the §6 extension: pages that are not skipped are
-	// compressed before transmission. CompressionRatio is the modelled
-	// wire-size factor in (0,1]; CompressCostPerPage is daemon CPU per
-	// compressed page.
-	Compress            bool
-	CompressionRatio    float64
-	CompressCostPerPage time.Duration
+	// compressed before transmission to compressionRatio of their size, at
+	// compressCostPerPage of daemon CPU each.
+	Compress bool
 
 	// DeltaCompression enables the XBZRLE-style baseline of Svärd et al.
 	// (paper §2): the daemon keeps a cache of previously-sent pages and
-	// transmits only the delta when a page is resent. Attacks exactly the
+	// transmits only the delta when a page is resent (deltaRatio of a page,
+	// at deltaCostPerPage of daemon CPU). Attacks exactly the
 	// repeated-resend problem JAVMM removes at the source — ablation X13
-	// compares them. DeltaRatio is the modelled wire factor for a resend
-	// (default 0.15); DeltaCostPerPage is the daemon CPU per delta encode.
-	// Report.DeltaCacheBytes carries the daemon-side cache cost (one full
-	// page copy per VM page).
+	// compares them. Report.DeltaCacheBytes carries the daemon-side cache
+	// cost (one full page copy per VM page).
 	DeltaCompression bool
-	DeltaRatio       float64
-	DeltaCostPerPage time.Duration
 
 	// HintedCompression refines Compress with the per-page hints the LKM
 	// collects from applications (§6: "multiple bits per VM memory page to
@@ -88,21 +79,12 @@ type Config struct {
 	// paper §2).
 	ThrottleFactor float64
 
-	// IdleQuantum paces the engine's waiting loop while the LKM prepares
-	// applications for suspension.
-	IdleQuantum time.Duration
-
 	// SuspensionBackstop bounds the engine-side wait for the guest to
 	// become suspension-ready after the prepare notification. The LKM's own
 	// PrepareTimeout normally resolves stragglers first; this is the hard
 	// backstop against a misconfigured (disabled) timeout. Default one
 	// minute.
 	SuspensionBackstop time.Duration
-
-	// HybridWarmIterations is the number of pre-copy warm rounds a
-	// ModeHybrid migration runs before the post-copy switchover (default 3:
-	// one full pass plus two dirty rounds).
-	HybridWarmIterations int
 
 	// ConservativeLastIter makes the stop-and-copy iteration consider
 	// every page dirtied at any point during migration, not just the
@@ -196,45 +178,20 @@ type Integrity struct {
 	// needs the table — but mismatches go undetected, exactly the failure
 	// mode the chaos search plants to prove it can find invariant bugs.
 	Disable bool
-	// MaxRepairRounds bounds the audit's repair loop: each round re-fetches
-	// every mismatched page and re-audits. Exhausting the budget aborts the
-	// run with ErrIntegrity (default 3).
-	MaxRepairRounds int
-}
-
-// fillDefaults populates the unset integrity knobs.
-func (i *Integrity) fillDefaults() {
-	if i.MaxRepairRounds == 0 {
-		i.MaxRepairRounds = 3
-	}
 }
 
 // Recovery is the engine's failure policy. Backoff is exponential with
 // seeded jitter: attempt k waits a uniformly random duration in
-// [base·2ᵏ⁻¹/2, base·2ᵏ⁻¹], capped at MaxBackoff, drawn from a PRNG seeded
-// with Seed — fully deterministic under the virtual clock.
+// [base·2ᵏ⁻¹/2, base·2ᵏ⁻¹] (base 10 ms), capped at 2 s, drawn from a PRNG
+// seeded with Seed — fully deterministic under the virtual clock. One stage
+// operation gets 10 retries and 60 s of virtual time before the run
+// aborts; an assisted run whose suspension handshake fails under an
+// injected fault degrades to vanilla pre-copy.
 type Recovery struct {
-	// MaxRetries bounds the re-attempts of one failed stage operation
-	// (default 10; with the default backoff that is ≈6.5s of cumulative
-	// waiting, enough to ride out a short partition).
-	MaxRetries int
-	// BaseBackoff is the first retry's backoff ceiling (default 10ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps a single backoff (default 2s).
-	MaxBackoff time.Duration
-	// StageDeadline bounds the total virtual time one stage operation may
-	// spend failing and backing off before the run aborts (default 60s).
-	StageDeadline time.Duration
 	// Seed seeds the jitter PRNG (default 1). Different seeds produce
 	// different backoff schedules; the same seed reproduces the run
 	// byte-for-byte.
 	Seed int64
-	// DisableDegrade keeps a ModeAppAssisted run from downgrading to
-	// vanilla pre-copy when the suspension handshake times out: the run
-	// fails with ErrSuspensionTimeout instead. Degradation is only
-	// considered when Config.Faults is set, so fault-free runs keep the
-	// strict timeout contract either way.
-	DisableDegrade bool
 	// EnableResume keeps the destination's partially-received image alive
 	// across a failed run instead of discarding it, so the ResumeToken
 	// minted by the abort can seed a cheaper Source.Resume. A destination
@@ -243,24 +200,44 @@ type Recovery struct {
 	EnableResume bool
 }
 
-// fillDefaults populates the unset recovery knobs.
-func (r *Recovery) fillDefaults() {
-	if r.MaxRetries == 0 {
-		r.MaxRetries = 10
-	}
-	if r.BaseBackoff == 0 {
-		r.BaseBackoff = 10 * time.Millisecond
-	}
-	if r.MaxBackoff == 0 {
-		r.MaxBackoff = 2 * time.Second
-	}
-	if r.StageDeadline == 0 {
-		r.StageDeadline = 60 * time.Second
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-}
+// Engine constants of the paper's testbed that no run varies.
+const (
+	// resumptionTime models reconnecting devices and activating the VM at
+	// the destination; the paper measures ~170 ms (§5.3).
+	resumptionTime = 170 * time.Millisecond
+	// compressionRatio is Compress's modelled wire-size factor and
+	// compressCostPerPage its daemon CPU per compressed page.
+	compressionRatio    = 0.45
+	compressCostPerPage = 8 * time.Microsecond
+	// deltaRatio is DeltaCompression's modelled wire factor for a resend
+	// and deltaCostPerPage its daemon CPU per delta encode.
+	deltaRatio       = 0.15
+	deltaCostPerPage = 5 * time.Microsecond
+	// idleQuantum paces the engine's waiting loop while the LKM prepares
+	// applications for suspension.
+	idleQuantum = time.Millisecond
+	// hybridWarmIterations is the number of pre-copy warm rounds a
+	// ModeHybrid migration runs before the post-copy switchover: one full
+	// pass plus two dirty rounds.
+	hybridWarmIterations = 3
+
+	// maxRetries bounds the re-attempts of one failed stage operation; with
+	// the backoff below that is ≈6.5 s of cumulative waiting, enough to
+	// ride out a short partition.
+	maxRetries = 10
+	// baseBackoff is the first retry's backoff ceiling and maxBackoff caps
+	// a single backoff.
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+	// stageDeadline bounds the total virtual time one stage operation may
+	// spend failing and backing off before the run aborts.
+	stageDeadline = 60 * time.Second
+
+	// maxRepairRounds bounds the integrity audit's repair loop: each round
+	// re-fetches every mismatched page and re-audits. Exhausting the budget
+	// aborts the run with ErrIntegrity.
+	maxRepairRounds = 3
+)
 
 // FillDefaults populates unset fields with the paper's testbed defaults.
 func (c *Config) FillDefaults() {
@@ -276,38 +253,18 @@ func (c *Config) FillDefaults() {
 	if c.ChunkPages == 0 {
 		c.ChunkPages = 1024
 	}
-	if c.ResumptionTime == 0 {
-		c.ResumptionTime = 170 * time.Millisecond
-	}
 	if c.PageExamineCost == 0 {
 		c.PageExamineCost = 200 * time.Nanosecond
 	}
 	if c.PageCopyCost == 0 {
 		c.PageCopyCost = 2 * time.Microsecond
 	}
-	if c.Compress && c.CompressionRatio == 0 {
-		c.CompressionRatio = 0.45
-	}
-	if c.Compress && c.CompressCostPerPage == 0 {
-		c.CompressCostPerPage = 8 * time.Microsecond
-	}
-	if c.DeltaCompression && c.DeltaRatio == 0 {
-		c.DeltaRatio = 0.15
-	}
-	if c.DeltaCompression && c.DeltaCostPerPage == 0 {
-		c.DeltaCostPerPage = 5 * time.Microsecond
-	}
-	if c.IdleQuantum == 0 {
-		c.IdleQuantum = time.Millisecond
-	}
 	if c.SuspensionBackstop == 0 {
 		c.SuspensionBackstop = time.Minute
 	}
-	if c.HybridWarmIterations == 0 {
-		c.HybridWarmIterations = 3
+	if c.Recovery.Seed == 0 {
+		c.Recovery.Seed = 1
 	}
-	c.Recovery.fillDefaults()
-	c.Integrity.fillDefaults()
 }
 
 // IterationStats describes one migration iteration — the boxes of Figure 8

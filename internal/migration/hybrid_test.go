@@ -129,7 +129,7 @@ func TestHybridShortensDegradationTail(t *testing.T) {
 // instead of the old hardwired minute.
 func TestSuspensionBackstopConfigurable(t *testing.T) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(4096), 4)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(4096))
 	// Disable the LKM's own prepare timeout so its fallback never fires
 	// and the engine-side backstop is what trips.
 	guest := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock, PrepareTimeout: -1})

@@ -24,7 +24,7 @@ import (
 // repaired — never silently.
 
 // ErrIntegrity reports a switchover digest audit that could not be healed
-// within Integrity.MaxRepairRounds: the destination's memory provably
+// within maxRepairRounds: the destination's memory provably
 // diverges from the source and the run aborts cleanly.
 var ErrIntegrity = errors.New("migration: destination integrity verification failed")
 
@@ -234,7 +234,7 @@ func (s *Source) auditResident(resident *mem.Bitmap) {
 // Each round compares every sent (or token-trusted) page's expected digest
 // against the destination's table and re-fetches the mismatches; repair
 // traffic is folded into st so the report, ledger and metrics keep
-// reconciling byte-for-byte. Exhausting Integrity.MaxRepairRounds fails the
+// reconciling byte-for-byte. Exhausting maxRepairRounds fails the
 // run with ErrIntegrity (the caller aborts cleanly).
 func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 	ig := s.integ
@@ -268,7 +268,7 @@ func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 		if m := s.Cfg.Metrics; m != nil {
 			m.Counter("migration.integrity_mismatches").Add(int64(len(bad)))
 		}
-		if round >= s.Cfg.Integrity.MaxRepairRounds {
+		if round >= maxRepairRounds {
 			span.End(obs.Int("rounds", stats.AuditRounds), obs.Str("outcome", "exhausted"),
 				obs.Int("unrepaired", len(bad)))
 			s.fail(fmt.Errorf("%w: %d pages still mismatched after %d repair rounds",

@@ -368,7 +368,7 @@ func (s *Source) migratePreCopy() (*Report, error) {
 				timedOut = true
 				break
 			}
-			s.advance(s.Cfg.IdleQuantum)
+			s.advance(idleQuantum)
 		}
 		// The second-last iteration's duration includes the wait for the
 		// workload to reach a Safepoint and finish the enforced GC
@@ -451,9 +451,9 @@ func (s *Source) migratePreCopy() (*Report, error) {
 
 	// Resumption: reconnect devices, activate at destination.
 	resSpan := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindResumption, "resumption")
-	s.Clock.Advance(s.Cfg.ResumptionTime)
+	s.Clock.Advance(resumptionTime)
 	resSpan.End()
-	s.report.Resumption = s.Cfg.ResumptionTime
+	s.report.Resumption = resumptionTime
 	s.report.VMDowntime = s.Clock.Now() - pauseStart
 	s.Dom.Unpause()
 	pausedSpan.End(obs.Dur("downtime", s.report.VMDowntime))

@@ -132,7 +132,7 @@ type testRig struct {
 // newRig builds a VM with `pages` pages and a link of `bw` bytes/sec.
 func newRig(pages uint64, bw uint64) *testRig {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(pages), 4)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(pages))
 	guest := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	return &testRig{
 		clock: clock,

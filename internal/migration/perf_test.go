@@ -162,10 +162,10 @@ func TestNewWireCodecMatchesBindStages(t *testing.T) {
 	}
 	w1, _ := codec.Encode(7, mem.PageSize)
 	w2, _ := codec.Encode(7, mem.PageSize)
-	if w1 != scaleWire(mem.PageSize, cfg.CompressionRatio) {
+	if w1 != scaleWire(mem.PageSize, compressionRatio) {
 		t.Errorf("first send wire = %d, want compressed size", w1)
 	}
-	if w2 != scaleWire(mem.PageSize, cfg.DeltaRatio) {
+	if w2 != scaleWire(mem.PageSize, deltaRatio) {
 		t.Errorf("resend wire = %d, want delta size", w2)
 	}
 	if resends != 1 {

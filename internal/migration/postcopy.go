@@ -25,7 +25,7 @@ import (
 // what the X8 ablation measures against JAVMM.
 //
 // ModeHybrid composes the stages of both engines: a pre-copy warm phase of
-// at most Cfg.HybridWarmIterations rounds (runIteration, stopping earlier
+// at most hybridWarmIterations rounds (runIteration, stopping earlier
 // if xenStop finds it converged) seeds residency, then the same switchover
 // and demand-fetch machinery finishes the job on the pages that were never
 // sent or were re-dirtied after their last send. It trades a little
@@ -112,7 +112,7 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 			if s.aborted {
 				return s.abortRun(start)
 			}
-			if iter >= s.Cfg.HybridWarmIterations || s.stopNow(iter, st) {
+			if iter >= hybridWarmIterations || s.stopNow(iter, st) {
 				break
 			}
 			s.Dom.PeekAndClear(toSend)
@@ -160,8 +160,8 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 	if !stateElapsed {
 		s.Clock.Advance(stateTime)
 	}
-	s.Clock.Advance(s.Cfg.ResumptionTime)
-	s.report.Resumption = s.Cfg.ResumptionTime
+	s.Clock.Advance(resumptionTime)
+	s.report.Resumption = resumptionTime
 	s.report.VMDowntime = s.Clock.Now() - pauseStart
 	s.Dom.Unpause()
 	pausedSpan.End(obs.Dur("downtime", s.report.VMDowntime))

@@ -33,6 +33,53 @@ func TestPostCopyIdleGuest(t *testing.T) {
 	if rep.VMDowntime > time.Second {
 		t.Fatalf("post-copy downtime = %v", rep.VMDowntime)
 	}
+	r.verify(t, rep)
+}
+
+// A run with a post-copy phase delivers the source image end to end. Every
+// page is stamped once first, so a page the lazy phase never delivered
+// reads an older version at the destination. The guest writes only hot:
+// every other frame must match the source exactly. A hot frame the guest
+// rewrote after switchover changed in the source store (the running VM's
+// memory) after its fetch, so it may lag the source but never lead it.
+func TestPostCopyImageMatchesSource(t *testing.T) {
+	for _, mode := range []Mode{ModePostCopy, ModeHybrid} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig(8192, 20*1000*1000)
+			hot := mem.VARange{Start: 0x1000000, End: 0x1000000 + 2048*mem.PageSize}
+			sc := newScribbler(r.guest, r.clock, hot, 30000)
+			for p := mem.PFN(0); uint64(p) < r.dom.NumPages(); p++ {
+				r.dom.WritePage(p)
+			}
+			rep, err := r.source(Config{Mode: mode}, sc).Migrate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.PostCopy == nil || rep.PostCopy.Faults == 0 {
+				t.Fatal("the guest never faulted: the run has no lazy phase to check")
+			}
+			hotFrames := mem.NewBitmap(r.dom.NumPages())
+			for va := hot.Start; va < hot.End; va += mem.PageSize {
+				p, ok := sc.proc.AS.Translate(va)
+				if !ok {
+					t.Fatalf("hot page %#x unmapped", uint64(va))
+				}
+				hotFrames.Set(p)
+			}
+			src, dst := r.dom.Store(), r.dest.Store
+			if err := VerifyMigration(src, dst, rep.FinalTransfer,
+				func(p mem.PFN) bool { return !hotFrames.Test(p) }); err != nil {
+				t.Fatal(err)
+			}
+			hotFrames.Range(func(p mem.PFN) bool {
+				if dst.Version(p) > src.Version(p) {
+					t.Fatalf("hot frame %d: destination version %d is newer than the source's %d",
+						p, dst.Version(p), src.Version(p))
+				}
+				return true
+			})
+		})
+	}
 }
 
 func TestPostCopyDemandFaults(t *testing.T) {

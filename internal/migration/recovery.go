@@ -61,21 +61,14 @@ func (s *Source) fail(err error) {
 }
 
 // nextBackoff returns attempt k's backoff: uniformly random in
-// [cap/2, cap] where cap = BaseBackoff·2ᵏ⁻¹ clamped to MaxBackoff. The
+// [cap/2, cap] where cap = baseBackoff·2ᵏ⁻¹ clamped to maxBackoff. The
 // jitter comes from the run's seeded PRNG, so it is deterministic.
 func (s *Source) nextBackoff(attempt int) time.Duration {
-	pol := &s.Cfg.Recovery
-	ceil := pol.BaseBackoff
-	for i := 1; i < attempt; i++ {
+	ceil := baseBackoff
+	for i := 1; i < attempt && ceil < maxBackoff; i++ {
 		ceil *= 2
-		if ceil >= pol.MaxBackoff || ceil <= 0 {
-			ceil = pol.MaxBackoff
-			break
-		}
 	}
-	if ceil > pol.MaxBackoff {
-		ceil = pol.MaxBackoff
-	}
+	ceil = min(ceil, maxBackoff)
 	half := ceil / 2
 	return half + time.Duration(s.rng.Int63n(int64(half)+1))
 }
@@ -88,8 +81,7 @@ func (s *Source) nextBackoff(attempt int) time.Duration {
 // immediately (permanent), or ErrRetriesExhausted wrapping the last error.
 func (s *Source) retryAfter(stage string, err0 error, sleep func(time.Duration), op func() error) error {
 	err := err0
-	pol := &s.Cfg.Recovery
-	deadline := s.Clock.Now() + pol.StageDeadline
+	deadline := s.Clock.Now() + stageDeadline
 	for attempt := 1; ; attempt++ {
 		if errors.Is(err, netsim.ErrHostDown) {
 			// The fabric refused the flow because the destination host is
@@ -101,11 +93,11 @@ func (s *Source) retryAfter(stage string, err0 error, sleep func(time.Duration),
 		if errors.Is(err, ErrDestinationLost) {
 			return err
 		}
-		if attempt > pol.MaxRetries {
-			return fmt.Errorf("%w: %s failed %d attempts: %w", ErrRetriesExhausted, stage, pol.MaxRetries, err)
+		if attempt > maxRetries {
+			return fmt.Errorf("%w: %s failed %d attempts: %w", ErrRetriesExhausted, stage, maxRetries, err)
 		}
 		if s.Clock.Now() >= deadline {
-			return fmt.Errorf("%w: %s stage deadline %v blown: %w", ErrRetriesExhausted, stage, pol.StageDeadline, err)
+			return fmt.Errorf("%w: %s stage deadline %v blown: %w", ErrRetriesExhausted, stage, stageDeadline, err)
 		}
 		d := s.nextBackoff(attempt)
 		rec := s.recovery()
@@ -222,7 +214,7 @@ func (s *Source) abortRun(start time.Duration) (*Report, error) {
 // fault story: without an injector configured the strict
 // ErrSuspensionTimeout contract is preserved.
 func (s *Source) degradeEnabled() bool {
-	return s.Cfg.Faults != nil && !s.Cfg.Recovery.DisableDegrade
+	return s.Cfg.Faults != nil
 }
 
 // degradeToVanilla downgrades a wedged assisted run to vanilla pre-copy

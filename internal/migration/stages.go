@@ -197,7 +197,7 @@ type PageSink interface {
 func (c *Config) NewWireCodec(n uint64, hintFor func(mem.PFN) uint8, resends *uint64) (WireCodec, uint64) {
 	var codec WireCodec = rawCodec{}
 	if c.Compress {
-		codec = compressCodec{ratio: c.CompressionRatio, cost: c.CompressCostPerPage}
+		codec = compressCodec{ratio: compressionRatio, cost: compressCostPerPage}
 	}
 	if c.HintedCompression && hintFor != nil {
 		codec = &hintedCodec{hintFor: hintFor, next: codec}
@@ -209,8 +209,8 @@ func (c *Config) NewWireCodec(n uint64, hintFor func(mem.PFN) uint8, resends *ui
 		}
 		codec = &deltaCodec{
 			sentOnce: mem.NewBitmap(n),
-			ratio:    c.DeltaRatio,
-			cost:     c.DeltaCostPerPage,
+			ratio:    deltaRatio,
+			cost:     deltaCostPerPage,
 			resends:  resends,
 			next:     codec,
 		}

@@ -84,7 +84,7 @@ func TestReceiveIntoStoreTruncatedStream(t *testing.T) {
 func TestStreamedMigrationOverTCP(t *testing.T) {
 	const pages = 8192 // 32 MiB keeps ByteStore costs low
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewByteStore(pages), 2)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewByteStore(pages))
 	guest := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 
 	hot := mem.VARange{Start: 0x1000000, End: 0x1000000 + 1024*mem.PageSize}
@@ -266,7 +266,7 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 func TestTeeErrorsCountWriterFailures(t *testing.T) {
 	const pages = 2048
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewByteStore(pages), 2)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewByteStore(pages))
 	guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 
 	// Full 4 KiB payloads overflow the page writer's buffer on every frame,

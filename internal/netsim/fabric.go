@@ -152,17 +152,6 @@ func (f *Fabric) AddLink(name string, bandwidth uint64, latency time.Duration, h
 	}
 }
 
-// AttachHost attaches an existing host to an existing shared link.
-func (f *Fabric) AttachHost(host, link string) {
-	for _, t := range f.trunks {
-		if t.name == link && t.shared {
-			f.attach(host, t)
-			return
-		}
-	}
-	panic(fmt.Sprintf("netsim: no link %q", link))
-}
-
 func (f *Fabric) attach(hostName string, tk *trunk) {
 	h, ok := f.hosts[hostName]
 	if !ok {
@@ -621,9 +610,6 @@ func (tr *Transfer) Wait() (time.Duration, error) {
 	}
 	return tr.dur, nil
 }
-
-// Done reports whether the transfer has completed.
-func (tr *Transfer) Done() bool { return tr.done }
 
 // Duration returns the completed transfer's contended duration (zero while
 // in flight).

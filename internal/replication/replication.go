@@ -33,30 +33,21 @@ import (
 
 // Config tunes the replicator.
 type Config struct {
-	// Epoch is the checkpoint interval (Remus commonly runs 25-100 ms).
-	Epoch time.Duration
 	// Deprotect consults the LKM's transfer bitmap, omitting skip-over
 	// pages from checkpoints (RemusDB memory deprotection).
 	Deprotect bool
-	// CheckpointPauseBase models the stop-and-copy-into-buffer pause at
-	// each epoch boundary (the output commit happens asynchronously).
-	CheckpointPauseBase time.Duration
-	// PausePerPage is the additional pause per dirty page captured.
-	PausePerPage time.Duration
 }
 
-// FillDefaults populates unset fields.
-func (c *Config) FillDefaults() {
-	if c.Epoch == 0 {
-		c.Epoch = 100 * time.Millisecond
-	}
-	if c.CheckpointPauseBase == 0 {
-		c.CheckpointPauseBase = 500 * time.Microsecond
-	}
-	if c.PausePerPage == 0 {
-		c.PausePerPage = 100 * time.Nanosecond
-	}
-}
+// The checkpoint model.
+const (
+	// epoch is the checkpoint interval (Remus commonly runs 25-100 ms).
+	epoch = 100 * time.Millisecond
+	// checkpointPauseBase models the stop-and-copy-into-buffer pause at
+	// each epoch boundary (the output commit happens asynchronously).
+	checkpointPauseBase = 500 * time.Microsecond
+	// pausePerPage is the additional pause per dirty page captured.
+	pausePerPage = 100 * time.Nanosecond
+)
 
 // EpochStats describes one checkpoint.
 type EpochStats struct {
@@ -126,7 +117,6 @@ func (r *Replicator) Protect(window time.Duration) (*Report, error) {
 	case window <= 0:
 		return nil, errNotProtecting
 	}
-	r.Cfg.FillDefaults()
 	if r.Dom.LogDirtyEnabled() {
 		return nil, ErrAlreadyDirty
 	}
@@ -158,16 +148,16 @@ func (r *Replicator) Protect(window time.Duration) (*Report, error) {
 	r.checkpoint(rep, 0, fullBitmap(n), transfer, wire)
 	start := r.Clock.Now()
 
-	epoch := 1
+	index := 1
 	for r.Clock.Now()-start < window {
-		slice := r.Cfg.Epoch
+		slice := epoch
 		if rem := window - (r.Clock.Now() - start); rem < slice {
 			slice = rem
 		}
 		r.advance(slice)
 		r.Dom.PeekAndClear(dirty)
-		r.checkpoint(rep, epoch, dirty, transfer, wire)
-		epoch++
+		r.checkpoint(rep, index, dirty, transfer, wire)
+		index++
 	}
 	rep.Duration = r.Clock.Now() - start
 	return rep, nil
@@ -200,8 +190,7 @@ func (r *Replicator) checkpoint(rep *Report, index int, dirty, transfer *mem.Bit
 	// Capture: the VM pauses while the selected pages are copied into the
 	// commit buffer, then resumes; the network push overlaps the next
 	// epoch (Remus's asynchronous output commit).
-	st.Pause = r.Cfg.CheckpointPauseBase +
-		time.Duration(st.SentPages)*r.Cfg.PausePerPage
+	st.Pause = checkpointPauseBase + time.Duration(st.SentPages)*pausePerPage
 	r.Dom.Pause()
 	store := r.Dom.Store()
 	var buf []byte

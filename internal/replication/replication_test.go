@@ -66,7 +66,7 @@ func (d *dirtier) Run(dur time.Duration) {
 
 func newRig(pages uint64) (*guestos.Guest, *simclock.Clock, *Replicator) {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(pages), 2)
+	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(pages))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	r := &Replicator{
 		Dom:    dom,

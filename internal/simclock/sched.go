@@ -75,9 +75,6 @@ type Proc struct {
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
 
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }
-
 // Go spawns fn as a new process. The process is runnable immediately but does
 // not execute until Run (or the next scheduling point) hands it the baton;
 // same-instant processes start in Go-call order.

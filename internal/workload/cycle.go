@@ -84,34 +84,3 @@ func (c CycleSpec) ActivityAt(t time.Duration) float64 {
 	}
 	return 1
 }
-
-// NextQuiet returns the earliest time ≥ t at which the quiet window is
-// open: t itself when already inside the window. A flat spec is "always
-// quiet" — there is no busy phase to avoid — so NextQuiet returns t.
-func (c CycleSpec) NextQuiet(t time.Duration) time.Duration {
-	if !c.Enabled() || c.QuietAt(t) {
-		return t
-	}
-	p := c.pos(t)
-	if p < c.QuietStart {
-		return t + (c.QuietStart - p)
-	}
-	return t + (c.Period - p) + c.QuietStart
-}
-
-// QuietRemaining returns how much of the current quiet window is left at t
-// (zero when t is outside the window).
-func (c CycleSpec) QuietRemaining(t time.Duration) time.Duration {
-	if !c.QuietAt(t) {
-		return 0
-	}
-	p := c.pos(t)
-	end := c.QuietStart + c.QuietLen
-	if end <= c.Period {
-		return end - p
-	}
-	if p >= c.QuietStart {
-		return end - p // tail still runs past the period boundary
-	}
-	return end - c.Period - p
-}

@@ -406,8 +406,10 @@ func (vm *VM) EnforcedGC() time.Duration {
 type BootConfig struct {
 	Name     string
 	MemBytes uint64 // VM memory (paper: 2 GiB)
-	VCPUs    int
-	Profile  Profile
+	// VCPUs is not modelled: nothing reads it, and the guest runs the
+	// same whatever it is set to.
+	VCPUs   int
+	Profile Profile
 	// Assisted loads the JAVMM TI agent so the VM can be migrated in
 	// app-assisted mode. A VM booted without the agent can still be
 	// migrated by vanilla pre-copy.
@@ -450,9 +452,6 @@ func Boot(cfg BootConfig) (*VM, error) {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 2 << 30
 	}
-	if cfg.VCPUs == 0 {
-		cfg.VCPUs = 4
-	}
 	if cfg.Name == "" {
 		cfg.Name = cfg.Profile.Name + "-vm"
 	}
@@ -477,7 +476,7 @@ func Boot(cfg BootConfig) (*VM, error) {
 	if clock == nil {
 		clock = simclock.New()
 	}
-	dom := hypervisor.NewDomain(cfg.Name, clock, mem.NewVersionStore(cfg.MemBytes/mem.PageSize), cfg.VCPUs)
+	dom := hypervisor.NewDomain(cfg.Name, clock, mem.NewVersionStore(cfg.MemBytes/mem.PageSize))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock, FinalUpdateRewalk: cfg.LKMRewalk})
 	proc := g.NewProcess("java-" + cfg.Profile.Name)
 

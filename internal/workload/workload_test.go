@@ -199,9 +199,6 @@ func TestBootDefaults(t *testing.T) {
 	if vm.Dom.MemoryBytes() != 2<<30 {
 		t.Fatalf("default memory = %d", vm.Dom.MemoryBytes())
 	}
-	if vm.Dom.VCPUs() != 4 {
-		t.Fatalf("default vcpus = %d", vm.Dom.VCPUs())
-	}
 	if vm.Dom.Name() != "small-vm" {
 		t.Fatalf("default name = %q", vm.Dom.Name())
 	}

@@ -39,7 +39,6 @@ import (
 	"javmm/internal/fleet"
 	"javmm/internal/guestos"
 	"javmm/internal/hypervisor"
-	"javmm/internal/jvm"
 	"javmm/internal/mem"
 	"javmm/internal/migration"
 	"javmm/internal/netsim"
@@ -74,18 +73,10 @@ type (
 	Mode = migration.Mode
 	// EngineConfig tunes the pre-copy engine.
 	EngineConfig = migration.Config
-	// MemRange is a half-open guest virtual address range.
-	MemRange = mem.VARange
 	// Guest is the in-guest operating system state (processes, LKM).
 	Guest = guestos.Guest
-	// Process is a guest user process with a walkable address space.
-	Process = guestos.Process
-	// JVM is the simulated HotSpot instance inside a VM.
-	JVM = jvm.JVM
 	// CacheApp is the memcached-like application of the §6 extension.
 	CacheApp = cacheapp.App
-	// CacheAppConfig parameterizes CacheApp.
-	CacheAppConfig = cacheapp.Config
 	// Clock is the deterministic virtual clock all components share.
 	Clock = simclock.Clock
 	// GuestExecutor runs guest activity for spans of virtual time.
@@ -128,74 +119,29 @@ type (
 	FaultInjector = faults.Injector
 	// FaultPlan is an ordered set of fault rules.
 	FaultPlan = faults.Plan
-	// FaultRule is one declarative fault (site, virtual time, occurrence).
-	FaultRule = faults.Rule
-	// FaultSite names one injection point in the migration pipeline.
-	FaultSite = faults.Site
-	// FaultEvent is one audit-log entry: a fault that actually fired.
-	FaultEvent = faults.Event
-	// RecoveryConfig tunes the engine's retry/backoff/degrade policy
-	// (EngineConfig.Recovery).
-	RecoveryConfig = migration.Recovery
 	// RecoveryStats is the Report's account of the robustness layer's work
 	// (Report.Recovery, nil on fault-free runs).
 	RecoveryStats = migration.RecoveryStats
-	// RetryRecord is one retried stage attempt.
-	RetryRecord = migration.RetryRecord
-	// Degradation records a mid-flight downgrade of an assisted run to
-	// vanilla pre-copy semantics (paper §4.2).
-	Degradation = migration.Degradation
-	// IntegrityConfig tunes the end-to-end page-digest verification plane
-	// (EngineConfig.Integrity).
-	IntegrityConfig = migration.Integrity
-	// IntegrityStats is the Report's account of the digest audit
-	// (Report.Integrity; nil when the sink carries no digests or the plane
-	// is disabled).
-	IntegrityStats = migration.IntegrityStats
 	// ResumeToken is the credential an aborted run mints
 	// (Report.Recovery.Token, with EngineConfig.Recovery.EnableResume set);
 	// feed it to Resume to continue the migration without paying the full
 	// first copy again.
 	ResumeToken = migration.ResumeToken
-	// ResumeStats is a resumed run's account of how much of its token was
-	// honoured (Report.Resume).
-	ResumeStats = migration.ResumeStats
-	// Scheduler is the deterministic cooperative process scheduler: N
-	// processes (guests, migration engines) interleave on one virtual clock
-	// with totally ordered wakeups, so concurrent runs are reproducible.
-	Scheduler = simclock.Scheduler
-	// Fabric is the shared network substrate for concurrent migrations:
-	// hosts, NICs and links whose bandwidth is arbitrated across tenants
-	// under progressive fair share.
-	Fabric = netsim.Fabric
 	// FabricReport is the fabric's merged per-link accounting.
 	FabricReport = netsim.FabricReport
-	// LinkUsage is one shared link's utilization account.
-	LinkUsage = netsim.LinkUsage
-	// FlowUsage is one flow's fair-share accounting (queueing and stall
-	// time) in a FabricReport.
-	FlowUsage = netsim.FlowUsage
 	// Progress is one point of the live migration progress stream: phase,
 	// iteration, cumulative pages/bytes, outstanding work, observed rates
 	// and the clamped ETA. Receive it via MigrateOptions' EngineConfig
 	// OnProgress or OrchestratorOptions.OnProgress.
 	Progress = migration.Progress
-	// ProgressPhase names a lifecycle phase in the progress stream.
-	ProgressPhase = migration.ProgressPhase
 	// FleetCollector is the fleet observability plane Orchestrate builds
 	// with OrchestratorOptions.Collect: per-VM trace lanes merged into one
 	// Chrome trace, labeled metrics, captured progress streams, the fabric
 	// lane.
 	FleetCollector = fleetobs.Collector
-	// VMPlane is one VM's observability surfaces inside a FleetCollector.
-	VMPlane = fleetobs.VMPlane
 	// FleetSnapshot is the fleet metrics interchange form (per-VM registries
 	// plus the fleet-scoped registry) javmm-analyze's fleet mode ingests.
 	FleetSnapshot = fleetobs.Snapshot
-	// TraceLane is one process row of a merged multi-plane Chrome trace.
-	TraceLane = obs.TraceLane
-	// Label is one Prometheus label on a labeled snapshot.
-	Label = obs.Label
 	// LabeledSnapshot pairs a metrics snapshot with Prometheus labels for
 	// WritePrometheusLabeled.
 	LabeledSnapshot = obs.LabeledSnapshot
@@ -232,9 +178,6 @@ type (
 	// AdmissionPolicy bounds concurrent migrations per link and per
 	// destination host.
 	AdmissionPolicy = fleet.AdmissionPolicy
-	// AdmissionError is the typed refusal for plans that cannot be placed
-	// (destination capacity exhausted) — check with errors.As.
-	AdmissionError = fleet.AdmissionError
 	// PlanMoveResult is one executed move: the VM's migration outcome plus
 	// the orchestrator's scheduling record.
 	PlanMoveResult = fleet.MoveResult
@@ -248,94 +191,19 @@ type (
 	// K failures inside a window open the host; it rejoins re-selection
 	// after the cooldown.
 	BreakerPolicy = fleet.BreakerPolicy
-	// HostOpenError is the typed refusal when every otherwise-admissible
-	// destination is breaker-open — check with errors.As; Until says when
-	// the earliest breaker closes.
-	HostOpenError = fleet.HostOpenError
-	// MoveOutcome classifies how a healed move ended (completed, retried,
-	// relocated, failed).
-	MoveOutcome = fleet.MoveOutcome
-	// MoveAttempt is one launch of a healed move: destination, window,
-	// failure classification and token reuse.
-	MoveAttempt = fleet.Attempt
 	// HealingSummary is PlanResult.Healing()'s per-move outcome table with
 	// retry/relocation/backoff/token-savings totals, reconciled against the
 	// ledger's resume-refetch tags (javmm-analyze -heal ingests its JSON).
 	HealingSummary = fleet.HealingSummary
 )
 
-// Progress phases, in the order a run moves through them.
-const (
-	ProgressStart       = migration.ProgressStart
-	ProgressPreCopy     = migration.ProgressPreCopy
-	ProgressPrepare     = migration.ProgressPrepare
-	ProgressStopAndCopy = migration.ProgressStopAndCopy
-	ProgressPostCopy    = migration.ProgressPostCopy
-	ProgressDone        = migration.ProgressDone
-	ProgressAborted     = migration.ProgressAborted
-)
-
-// MaxETA is the progress stream's ETA clamp: non-converging estimates (dirty
-// rate at or above transfer rate) and converging-but-absurd ones are pinned
-// here instead of going negative or overflowing.
-const MaxETA = migration.MaxETA
-
-// EstimateETA estimates remaining transfer time from the observed rates; see
-// migration.EstimateETA for the clamping contract.
-func EstimateETA(bytesRemaining uint64, transferRate, dirtyByteRate float64) (time.Duration, bool) {
-	return migration.EstimateETA(bytesRemaining, transferRate, dirtyByteRate)
-}
-
 // DefaultSLA is the reference pricing policy experiments use, so SLA-cost
 // columns are comparable across runs.
 func DefaultSLA() SLAModel { return sla.Default() }
 
-// Fault-injection sites, re-exported from the faults package.
-const (
-	// FaultLinkPartition takes the migration link down for a window.
-	FaultLinkPartition = faults.SiteLinkPartition
-	// FaultLinkBandwidth collapses link bandwidth for a window.
-	FaultLinkBandwidth = faults.SiteLinkBandwidth
-	// FaultNetlinkLoss drops a netlink message.
-	FaultNetlinkLoss = faults.SiteNetlinkLoss
-	// FaultNetlinkDelay delivers a netlink message late.
-	FaultNetlinkDelay = faults.SiteNetlinkDelay
-	// FaultLKMHandshake swallows the LKM's suspension-ready notification;
-	// the run degrades to vanilla pre-copy.
-	FaultLKMHandshake = faults.SiteLKMHandshake
-	// FaultDestReceive fails one page receive transiently.
-	FaultDestReceive = faults.SiteDestReceive
-	// FaultDestCrash crashes the destination mid-stream (permanent).
-	FaultDestCrash = faults.SiteDestCrash
-	// FaultPostCopyFetch fails one post-copy demand fetch.
-	FaultPostCopyFetch = faults.SitePostCopyFetch
-	// FaultCorruptPageStream flips a bit in a page payload in flight; the
-	// digest audit detects and repairs it (or aborts cleanly).
-	FaultCorruptPageStream = faults.SiteCorruptPage
-	// FaultHostCrash takes a destination host down for a window: every
-	// in-flight move targeting it dies with ErrDestinationLost and the
-	// fabric refuses new transfers toward it until the window passes.
-	// Scope with host=<name>; unscoped it matches every host.
-	FaultHostCrash = faults.SiteHostCrash
-	// FaultHostFlaky makes a host refuse page receives (transiently) for a
-	// window — the engine's retry/backoff rides it out or exhausts.
-	FaultHostFlaky = faults.SiteHostFlaky
-)
-
-// Errors surfaced by aborted migrations, re-exported for errors.Is checks.
-var (
-	// ErrDestinationLost reports a destination that crashed mid-stream.
-	ErrDestinationLost = migration.ErrDestinationLost
-	// ErrRetriesExhausted wraps the last transient error once the retry
-	// budget or stage deadline is exhausted.
-	ErrRetriesExhausted = migration.ErrRetriesExhausted
-	// ErrIntegrity reports a switchover digest audit that could not be
-	// healed within the repair budget.
-	ErrIntegrity = migration.ErrIntegrity
-	// ErrCancelled reports a run aborted by EngineConfig.CancelAfter or
-	// ShouldCancel; with EnableResume set the abort still mints a token.
-	ErrCancelled = migration.ErrCancelled
-)
+// ErrIntegrity reports a switchover digest audit that could not be healed
+// within the repair budget; check aborted migrations for it with errors.Is.
+var ErrIntegrity = migration.ErrIntegrity
 
 // ReasonResumeRefetch tags the sends a resumed run paid for because its
 // token could not prove the page intact at the destination; the full send
@@ -347,28 +215,15 @@ func NewFaultInjector(c *Clock, plan FaultPlan) (*FaultInjector, error) {
 	return faults.NewInjector(c, plan)
 }
 
-// ParseFaultRule parses the CLI fault-rule syntax
-// (site[@at][#nth][,key=value...]), e.g. "link.partition@10s,for=2s" or
+// ParseFaultPlan parses fault rules in the CLI syntax
+// site[@at][#nth][,key=value...], e.g. "link.partition@10s,for=2s" or
 // "dest.receive#3,count=2".
-func ParseFaultRule(spec string) (FaultRule, error) { return faults.ParseRule(spec) }
-
-// ParseFaultPlan parses each spec with ParseFaultRule.
 func ParseFaultPlan(specs []string) (FaultPlan, error) { return faults.ParsePlan(specs) }
-
-// FaultSites enumerates every injection site in presentation order.
-func FaultSites() []FaultSite { return faults.Sites() }
 
 // RandomFaultPlan derives a valid random fault plan (1..budget rules) from a
 // seed — the chaos search's plan generator, also handy for ad-hoc fuzzing.
 // The same seed always yields the same plan.
 func RandomFaultPlan(seed int64, budget int) FaultPlan { return faults.RandomPlan(seed, budget) }
-
-// RandomFaultPlanHosts is RandomFaultPlan with a host universe: host-scoped
-// sites (host.crash, host.flaky) join the draw and may aim at the named
-// hosts. With no hosts it is exactly RandomFaultPlan.
-func RandomFaultPlanHosts(seed int64, budget int, hosts []string) FaultPlan {
-	return faults.RandomPlanHosts(seed, budget, hosts)
-}
 
 // Migration modes.
 const (
@@ -384,32 +239,15 @@ const (
 	ModeHybrid = migration.ModeHybrid
 )
 
-// Collector names for BootConfig.Collector.
-const (
-	// CollectorParallel is the contiguous-young-generation parallel
-	// scavenger the paper prototypes against.
-	CollectorParallel = workload.CollectorParallel
-	// CollectorG1 is the garbage-first-style regional collector of the
-	// paper's §6 future work: a non-contiguous, churning young generation.
-	CollectorG1 = workload.CollectorG1
-)
+// CollectorG1 names the garbage-first-style regional collector of the
+// paper's §6 future work for BootConfig.Collector: a non-contiguous,
+// churning young generation. The default is the contiguous parallel
+// scavenger the paper prototypes against.
+const CollectorG1 = workload.CollectorG1
 
-// Link bandwidth presets (payload bytes/sec).
-const (
-	// GigabitEthernet is the paper's testbed network.
-	GigabitEthernet = netsim.GigabitEffective
-	// TenGigabitEthernet models the §6 upgraded environment.
-	TenGigabitEthernet = netsim.TenGigabitEffective
-)
-
-// NewScheduler attaches a cooperative process scheduler to the clock; see
-// DESIGN.md §15. Library users composing their own multi-VM scenarios start
-// here — Orchestrate wraps the common case.
-func NewScheduler(c *Clock) *Scheduler { return simclock.NewScheduler(c) }
-
-// NewFabric returns an empty network fabric on the clock; add hosts and
-// shared links, then Dial ports whose transfers contend for bandwidth.
-func NewFabric(c *Clock) *Fabric { return netsim.NewFabric(c) }
+// GigabitEthernet is the paper's testbed network's payload bandwidth in
+// bytes/sec.
+const GigabitEthernet = netsim.GigabitEffective
 
 // Backbone declares the simplest fleet: VM i runs profiles[i] as
 // "<profile>-<i>" on its own source host src<i>, and move i takes it to host
@@ -439,20 +277,6 @@ const (
 // under admission control, and the whole plan replays bit-identically at
 // the same seed — under the race detector too. See DESIGN.md §17.
 func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) { return fleet.Orchestrate(opts) }
-
-// Move outcomes for an executed plan (PlanMoveResult.Outcome).
-const (
-	// MovePending never reached a terminal state (the move never launched).
-	MovePending = fleet.OutcomePending
-	// MoveCompleted succeeded on the first attempt.
-	MoveCompleted = fleet.OutcomeCompleted
-	// MoveRetried succeeded after 1+ retries against the same destination.
-	MoveRetried = fleet.OutcomeRetried
-	// MoveRelocated succeeded after re-selection to another destination.
-	MoveRelocated = fleet.OutcomeRelocated
-	// MoveFailed exhausted its healing budget; the source VM keeps running.
-	MoveFailed = fleet.OutcomeFailed
-)
 
 // ParseBreakerPolicy parses the CLI breaker grammar
 // "threshold/window/cooldown" (e.g. "3/2m/5m") or "off".
@@ -516,13 +340,6 @@ func WriteTraceJSONL(w io.Writer, events []Event) error { return obs.WriteJSONL(
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 func WriteTraceChrome(w io.Writer, events []Event) error { return obs.WriteChromeTrace(w, events) }
 
-// WriteTraceChromeLanes exports several event streams as one merged Chrome
-// trace: lane i becomes process i+1, named after the lane — the fleet
-// timeline form FleetCollector.WriteChromeTrace produces.
-func WriteTraceChromeLanes(w io.Writer, lanes []TraceLane) error {
-	return obs.WriteChromeTraceLanes(w, lanes)
-}
-
 // WritePrometheusLabeled renders several labeled snapshots as one Prometheus
 // page: same-named series merge under one TYPE header, label keys and rows in
 // deterministic order. A single unlabeled snapshot renders byte-identically
@@ -562,9 +379,6 @@ func ReadFleetSLAJSON(r io.Reader) (FleetSLACost, error) { return sla.ReadJSON(r
 func BuildSLACost(vm string, m SLAModel, a *Attribution, samples []Sample) SLACost {
 	return sla.Build(vm, m, a, samples)
 }
-
-// AggregateSLA folds per-VM costs into the fleet view.
-func AggregateSLA(costs []SLACost) FleetSLACost { return sla.Aggregate(costs) }
 
 // ReadTraceJSONL parses a trace previously exported with WriteTraceJSONL.
 func ReadTraceJSONL(r io.Reader) ([]Event, error) { return obs.ReadJSONL(r) }
@@ -649,7 +463,7 @@ type MigrateOptions struct {
 	// the run (link, netlink bus, LKM handshake, destination, demand-fetch
 	// path) and enables graceful degradation: an assisted run whose
 	// suspension handshake fails completes with vanilla pre-copy semantics
-	// instead of erroring. Tune retries/backoff via Engine.Recovery.
+	// instead of erroring. Engine.Recovery.Seed seeds the retry backoff jitter.
 	Faults *FaultInjector
 }
 
@@ -787,9 +601,6 @@ type (
 	// stop policy, suspension protocol, page sink, lazy fetch, digest
 	// audit).
 	StageProfiler = perf.Profiler
-	// StageStats is one stage's accumulated account (calls, self/total
-	// wall time, self-attributed allocation).
-	StageStats = perf.StageStats
 	// DeterministicMetrics is the seed-determined metric block shared by
 	// javmm-bench snapshots and javmm-analyze -json: a pure function of
 	// (seed, config) under the virtual clock, byte-identical across
@@ -834,9 +645,6 @@ func BenchDeterministic(res *Result) DeterministicMetrics {
 	return d
 }
 
-// PostCopyStats describes a post-copy migration's demand-fault behaviour.
-type PostCopyStats = migration.PostCopyStats
-
 // ReplicationReport summarizes a continuous-checkpointing run.
 type ReplicationReport = replication.Report
 
@@ -875,7 +683,7 @@ func NewCacheVM(memBytes, cacheBytes uint64, assisted bool) (*CacheApp, *Guest, 
 		memBytes = 2 << 30
 	}
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("cache-vm", clock, mem.NewVersionStore(memBytes/mem.PageSize), 4)
+	dom := hypervisor.NewDomain("cache-vm", clock, mem.NewVersionStore(memBytes/mem.PageSize))
 	g := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	app, err := cacheapp.Launch(cacheapp.Config{
 		Guest:      g,

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"javmm"
+	"javmm/internal/faults"
+	"javmm/internal/migration"
 )
 
 // bootSmall boots a modest VM (1 GiB, 256 MiB young cap, short warmup) so
@@ -143,7 +145,7 @@ func TestModeFaultMatrix(t *testing.T) {
 					if !res.Destination.Discarded() {
 						t.Fatal("destination not discarded after abort")
 					}
-					if !errors.Is(err, javmm.ErrRetriesExhausted) && !errors.Is(err, javmm.ErrDestinationLost) {
+					if !errors.Is(err, migration.ErrRetriesExhausted) && !errors.Is(err, migration.ErrDestinationLost) {
 						t.Fatalf("abort error %v is neither retries-exhausted nor destination-lost", err)
 					}
 					// The source stays usable: it can run and be re-migrated.
@@ -315,7 +317,7 @@ func TestFaultTraceCarriesInjectionAndRecovery(t *testing.T) {
 			t.Errorf("counter %s missing or zero", want)
 		}
 	}
-	if ev := inj.Events(); len(ev) != 1 || ev[0].Site != javmm.FaultLKMHandshake {
+	if ev := inj.Events(); len(ev) != 1 || ev[0].Site != faults.SiteLKMHandshake {
 		t.Fatalf("injector audit log %+v, want one lkm.handshake event", ev)
 	}
 }
@@ -336,7 +338,7 @@ func TestAbortedRunLeavesSourceRemigratable(t *testing.T) {
 	if err == nil {
 		t.Fatal("crashed-destination run completed")
 	}
-	if !errors.Is(err, javmm.ErrDestinationLost) {
+	if !errors.Is(err, migration.ErrDestinationLost) {
 		t.Fatalf("abort error = %v, want ErrDestinationLost", err)
 	}
 	if !res.Destination.Discarded() {
@@ -360,15 +362,15 @@ func TestAbortedRunLeavesSourceRemigratable(t *testing.T) {
 // TestFaultSiteCatalog pins the public site list: tooling (CLI help, docs)
 // builds on these names.
 func TestFaultSiteCatalog(t *testing.T) {
-	want := []javmm.FaultSite{
-		javmm.FaultLinkPartition, javmm.FaultLinkBandwidth,
-		javmm.FaultNetlinkLoss, javmm.FaultNetlinkDelay,
-		javmm.FaultLKMHandshake, javmm.FaultDestReceive,
-		javmm.FaultDestCrash, javmm.FaultPostCopyFetch,
-		javmm.FaultCorruptPageStream,
-		javmm.FaultHostCrash, javmm.FaultHostFlaky,
+	want := []faults.Site{
+		faults.SiteLinkPartition, faults.SiteLinkBandwidth,
+		faults.SiteNetlinkLoss, faults.SiteNetlinkDelay,
+		faults.SiteLKMHandshake, faults.SiteDestReceive,
+		faults.SiteDestCrash, faults.SitePostCopyFetch,
+		faults.SiteCorruptPage,
+		faults.SiteHostCrash, faults.SiteHostFlaky,
 	}
-	got := javmm.FaultSites()
+	got := faults.Sites()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("FaultSites() = %v, want %v", got, want)
 	}
@@ -378,13 +380,13 @@ func TestFaultSiteCatalog(t *testing.T) {
 		if s.Windowed() {
 			spec += ",for=1s"
 		}
-		if s == javmm.FaultLinkBandwidth {
+		if s == faults.SiteLinkBandwidth {
 			spec += ",factor=0.5"
 		}
-		if s == javmm.FaultNetlinkDelay {
+		if s == faults.SiteNetlinkDelay {
 			spec += ",delay=1ms"
 		}
-		r, err := javmm.ParseFaultRule(spec)
+		r, err := faults.ParseRule(spec)
 		if err != nil {
 			t.Errorf("ParseFaultRule(%q): %v", spec, err)
 			continue

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"javmm"
 	"javmm/internal/chaos"
+	"javmm/internal/faults"
 )
 
 var (
@@ -48,7 +48,7 @@ func TestFleetChaosSearch(t *testing.T) {
 	}
 	corrupt := false
 	for _, r := range v.Shrunk {
-		if r.Site == javmm.FaultCorruptPageStream {
+		if r.Site == faults.SiteCorruptPage {
 			corrupt = true
 		}
 	}

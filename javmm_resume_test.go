@@ -11,6 +11,8 @@ import (
 
 	"javmm"
 	"javmm/internal/chaos"
+	"javmm/internal/faults"
+	"javmm/internal/migration"
 	"javmm/internal/obs/ledger"
 )
 
@@ -117,8 +119,8 @@ func TestAbortResumeEverySite(t *testing.T) {
 			if err == nil {
 				t.Fatal("faulted run completed; the matrix case must abort mid-run")
 			}
-			if !errors.Is(err, javmm.ErrRetriesExhausted) && !errors.Is(err, javmm.ErrDestinationLost) &&
-				!errors.Is(err, javmm.ErrCancelled) {
+			if !errors.Is(err, migration.ErrRetriesExhausted) && !errors.Is(err, migration.ErrDestinationLost) &&
+				!errors.Is(err, migration.ErrCancelled) {
 				t.Fatalf("abort error %v is not a clean abort", err)
 			}
 			if len(inj.Events()) == 0 {
@@ -221,7 +223,7 @@ func TestChaosSearch(t *testing.T) {
 	}
 	corrupt := false
 	for _, r := range v.Shrunk {
-		if r.Site == javmm.FaultCorruptPageStream {
+		if r.Site == faults.SiteCorruptPage {
 			corrupt = true
 		}
 	}

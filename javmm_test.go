@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"javmm"
+	"javmm/internal/netsim"
 )
 
 func bootDerby(t *testing.T, assisted bool) *javmm.VM {
@@ -161,7 +162,7 @@ func TestPublicAPIFasterLink(t *testing.T) {
 	b := bootDerby(t, false)
 	fast, err := javmm.Migrate(b, javmm.MigrateOptions{
 		Mode:      javmm.ModeXen,
-		Bandwidth: javmm.TenGigabitEthernet,
+		Bandwidth: netsim.TenGigabitEffective,
 	})
 	if err != nil {
 		t.Fatal(err)

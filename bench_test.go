@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"javmm"
 	"javmm/internal/experiments"
 	"javmm/internal/migration"
 	"javmm/internal/obs/perf"
@@ -256,6 +257,29 @@ func BenchmarkAblation_Delta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.AblationDelta(benchOpts()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBootWarmupDerby measures the set-up a single-VM perfbench op pays
+// before it migrates (its setup_s): boot a 2 GiB derby VM with the JAVMM
+// agent and warm it up for 60 virtual seconds. Boot maps the heap, and the
+// warmup's young-generation resizes and bump-allocation runs go through the
+// guest page tables and the domain's version store.
+func BenchmarkBootWarmupDerby(b *testing.B) {
+	prof, err := javmm.Workload("derby")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vm, err := javmm.BootVM(javmm.BootConfig{MemBytes: 2 << 30, Profile: prof, Assisted: true, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		vm.Driver.Run(60 * time.Second)
+		if vm.Driver.Err != nil {
+			b.Fatal(vm.Driver.Err)
 		}
 	}
 }

@@ -131,15 +131,20 @@ type testRig struct {
 
 // newRig builds a VM with `pages` pages and a link of `bw` bytes/sec.
 func newRig(pages uint64, bw uint64) *testRig {
+	return newRigStore(mem.NewVersionStore(pages), bw)
+}
+
+// newRigStore is newRig with the source domain's memory in store.
+func newRigStore(store mem.PageStore, bw uint64) *testRig {
 	clock := simclock.New()
-	dom := hypervisor.NewDomain("vm", clock, mem.NewVersionStore(pages))
+	dom := hypervisor.NewDomain("vm", clock, store)
 	guest := guestos.NewGuest(dom, guestos.LKMConfig{Clock: clock})
 	return &testRig{
 		clock: clock,
 		dom:   dom,
 		guest: guest,
 		link:  netsim.NewLink(clock, bw, 0),
-		dest:  NewDestination(pages),
+		dest:  NewDestination(store.NumPages()),
 	}
 }
 

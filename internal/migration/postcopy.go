@@ -179,14 +179,15 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 	defer s.Dom.SetPageFaultHook(nil)
 
 	// Background pre-paging: push non-resident pages in ascending order,
-	// interleaving guest execution (which triggers demand faults).
+	// interleaving guest execution (which triggers demand faults). Each pass
+	// starts over at PFN 0, since demand faults may leave holes behind the
+	// cursor, and the scan ends at the first pass that finds every page
+	// resident before it starts; the rest of a pass after the last page
+	// arrived pushes nothing.
 	st := IterationStats{Index: iter + 1, Start: s.Clock.Now(), Last: true}
-	cursor := mem.PFN(0)
-	chunk := s.Cfg.ChunkPages
 prefetch:
 	for resident.Count() < n {
-		var pushed uint64
-		for pushed < chunk && cursor < mem.PFN(n) {
+		for cursor := mem.PFN(0); cursor < mem.PFN(n); cursor++ {
 			if s.aborted {
 				break prefetch
 			}
@@ -210,7 +211,6 @@ prefetch:
 				resident.Set(cursor)
 				s.Cfg.Ledger.PageSent(cursor, lazyIter, wire, s.sendClassFor(cursor, ledger.ClassPrefetch))
 				pc.PrefetchPages++
-				pushed++
 				st.PagesSent++
 				st.BytesOnWire += wire
 				s.report.TotalPagesSent++
@@ -228,10 +228,6 @@ prefetch:
 					lf.stallDebt = 0
 				}
 			}
-			cursor++
-		}
-		if cursor >= mem.PFN(n) {
-			cursor = 0 // demand faults may have left holes behind the cursor
 		}
 	}
 	// Fault fetches moved pages outside the iteration accounting; fold

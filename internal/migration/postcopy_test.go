@@ -36,16 +36,30 @@ func TestPostCopyIdleGuest(t *testing.T) {
 	r.verify(t, rep)
 }
 
+// exportLog is a source page store that records the version each page had
+// when it was last exported: the version the page's last delivery carried.
+type exportLog struct {
+	mem.PageStore
+	exported []uint64
+}
+
+func (l *exportLog) AppendExport(dst []byte, p mem.PFN) []byte {
+	l.exported[p] = l.Version(p)
+	return l.PageStore.AppendExport(dst, p)
+}
+
 // A run with a post-copy phase delivers the source image end to end. Every
 // page is stamped once first, so a page the lazy phase never delivered
 // reads an older version at the destination. The guest writes only hot:
 // every other frame must match the source exactly. A hot frame the guest
-// rewrote after switchover changed in the source store (the running VM's
-// memory) after its fetch, so it may lag the source but never lead it.
+// rewrote after its fetch may lag the source, so every page the destination
+// received must hold exactly the version of its last export; a delivery
+// that ships any other content fails the run, warm or lazy.
 func TestPostCopyImageMatchesSource(t *testing.T) {
 	for _, mode := range []Mode{ModePostCopy, ModeHybrid} {
 		t.Run(mode.String(), func(t *testing.T) {
-			r := newRig(8192, 20*1000*1000)
+			log := &exportLog{PageStore: mem.NewVersionStore(8192), exported: make([]uint64, 8192)}
+			r := newRigStore(log, 20*1000*1000)
 			hot := mem.VARange{Start: 0x1000000, End: 0x1000000 + 2048*mem.PageSize}
 			sc := newScribbler(r.guest, r.clock, hot, 30000)
 			for p := mem.PFN(0); uint64(p) < r.dom.NumPages(); p++ {
@@ -71,13 +85,24 @@ func TestPostCopyImageMatchesSource(t *testing.T) {
 				func(p mem.PFN) bool { return !hotFrames.Test(p) }); err != nil {
 				t.Fatal(err)
 			}
-			hotFrames.Range(func(p mem.PFN) bool {
-				if dst.Version(p) > src.Version(p) {
-					t.Fatalf("hot frame %d: destination version %d is newer than the source's %d",
-						p, dst.Version(p), src.Version(p))
+			received := r.dest.ReceivedPages()
+			if got := received.Count(); got != r.dom.NumPages() {
+				t.Fatalf("destination received %d of %d pages", got, r.dom.NumPages())
+			}
+			lagging := 0
+			received.Range(func(p mem.PFN) bool {
+				if dst.Version(p) != log.exported[p] {
+					t.Fatalf("frame %d: destination holds version %d, its last export was version %d",
+						p, dst.Version(p), log.exported[p])
+				}
+				if dst.Version(p) != src.Version(p) {
+					lagging++
 				}
 				return true
 			})
+			if lagging == 0 {
+				t.Fatal("no hot frame lags the source: the guest rewrote no page after its delivery")
+			}
 		})
 	}
 }

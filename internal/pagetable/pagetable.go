@@ -41,13 +41,15 @@ func NewFrameAllocator(total uint64) *FrameAllocator {
 	f := &FrameAllocator{free: mem.NewBitmap(total), numFree: total, total: total}
 	f.free.SetAll()
 	// Golden-ratio stride, adjusted to be coprime with total so the walk
-	// visits every frame exactly once per lap.
+	// visits every frame exactly once per lap, and reduced mod total (only
+	// a one-frame space has stride == total) so that Alloc steps the cursor
+	// with one conditional subtraction.
 	f.stride = uint64(float64(total)*0.6180339887) | 1
-	if f.stride == 0 {
-		f.stride = 1
-	}
 	for gcd(f.stride, total) != 1 {
 		f.stride += 2
+	}
+	if total > 0 {
+		f.stride %= total
 	}
 	return f
 }
@@ -97,7 +99,9 @@ func (f *FrameAllocator) Alloc() (mem.PFN, error) {
 	// and the stride is coprime with total, at most `total` steps suffice.
 	for i := uint64(0); i < f.total; i++ {
 		p := mem.PFN(f.cursor)
-		f.cursor = (f.cursor + f.stride) % f.total
+		if f.cursor += f.stride; f.cursor >= f.total {
+			f.cursor -= f.total
+		}
 		if f.free.Test(p) {
 			f.free.Clear(p)
 			f.numFree--
@@ -122,22 +126,24 @@ func (f *FrameAllocator) Release(p mem.PFN) {
 func (f *FrameAllocator) Allocated(p mem.PFN) bool { return !f.free.Test(p) }
 
 // AddressSpace is one process's virtual address space: a two-level page table
-// mapping virtual page numbers to PFNs. Walks are real table traversals, and
-// the WalkSteps counter lets experiments account for walk costs (the paper
-// defers an alternative final-update design because full re-walks are slow,
-// §3.3.4 — ablation X5 quantifies this).
+// mapping virtual page numbers to PFNs. Walks are real table traversals, so a
+// range that left the page tables is invisible to them (§3.3.4).
+//
+// The range operations (MapRange, UnmapRange, Walk and FrameRun) work one
+// 512-entry leaf table at a time: one directory lookup per leaf, then a loop
+// over its entries. They allocate and release frames, and create, reuse and
+// retire leaves, in the order a loop of the per-page operations would.
 type AddressSpace struct {
 	frames *FrameAllocator
 	// Two-level table: directory index = vpn >> dirShift.
 	dir map[uint64]*ptTable
-	// spare holds the leaf tables Unmap emptied, for Map to reuse. An
-	// emptied leaf is all leafEmpty with used == 0, just as newPTTable
-	// builds one, so reuse cannot show. The JVM's young generation shrinks
-	// and grows again, so without them each regrowth allocates its leaves
-	// anew.
-	spare     []*ptTable
-	mapped    uint64
-	WalkSteps uint64 // page-table entries touched by Translate/Walk calls
+	// spare holds the leaf tables Unmap and UnmapRange emptied, for Map and
+	// MapRange to reuse, last retired first. An emptied leaf is all
+	// leafEmpty with used == 0, just as newPTTable builds one, so reuse
+	// cannot show. The JVM's young generation shrinks and grows again, so
+	// without them each regrowth allocates its leaves anew.
+	spare  []*ptTable
+	mapped uint64
 }
 
 const (
@@ -159,6 +165,10 @@ func newPTTable() *ptTable {
 	}
 	return t
 }
+
+// leafEnd returns the end of the part of the page range [vpn, end) that lies
+// in vpn's leaf table.
+func leafEnd(vpn, end uint64) uint64 { return min(end, (vpn|leafMask)+1) }
 
 // NewAddressSpace returns an empty address space drawing frames from frames.
 func NewAddressSpace(frames *FrameAllocator) *AddressSpace {
@@ -226,7 +236,6 @@ func (a *AddressSpace) Unmap(va mem.VA) mem.PFN {
 
 // Translate returns the frame backing va, or (NoPFN, false) if unmapped.
 func (a *AddressSpace) Translate(va mem.VA) (mem.PFN, bool) {
-	a.WalkSteps++
 	vpn := va.PageOf()
 	t := a.dir[vpn>>dirShift]
 	if t == nil {
@@ -242,14 +251,10 @@ func (a *AddressSpace) Translate(va mem.VA) (mem.PFN, bool) {
 // FrameRun returns the frames backing the pages of [va, end), starting at
 // va's page and stopping before the first unmapped page or at the end of
 // va's leaf table (512 pages), whichever comes first. A run therefore costs
-// one directory lookup instead of one per page, and it allocates nothing:
-// the slice aliases the leaf table and is valid only until the next Map,
-// Remap or Unmap. An unmapped va yields an empty run.
-//
-// WalkSteps advances as Translate would over the same pages: one step per
-// returned frame, or one for the probe when va is unmapped. A caller that
-// consumes a range run by run, and stops at the first empty run, accounts
-// exactly as a per-page Translate loop that stops at the first hole.
+// one directory lookup instead of one per page, and a full leaf table has
+// no hole to look for. It allocates nothing: the slice aliases the leaf
+// table and is valid only until the next Map, Remap or Unmap. An unmapped va
+// yields an empty run.
 func (a *AddressSpace) FrameRun(va, end mem.VA) []mem.PFN {
 	if end <= va {
 		return nil
@@ -257,55 +262,75 @@ func (a *AddressSpace) FrameRun(va, end mem.VA) []mem.PFN {
 	vpn := va.PageOf()
 	t := a.dir[vpn>>dirShift]
 	if t == nil {
-		a.WalkSteps++
 		return nil
 	}
 	i := vpn & leafMask
-	stop := uint64(leafSlots)
-	if last := (end - 1).PageOf(); last-vpn < stop-i {
-		stop = i + last - vpn + 1
+	stop := i + leafEnd(vpn, (end-1).PageOf()+1) - vpn
+	if t.used == leafSlots {
+		return t.entries[i:stop]
 	}
 	j := i
 	for j < stop && t.entries[j] != leafEmpty {
 		j++
 	}
-	if j == i {
-		a.WalkSteps++
-		return nil
-	}
-	a.WalkSteps += j - i
 	return t.entries[i:j]
 }
 
 // Walk visits every mapped page in the page-aligned range r in ascending VA
 // order, calling fn with the page's base VA and frame. This is the LKM's
 // page-table walk (§3.3.2): unmapped pages in the range are silently skipped,
-// exactly as a real walk finds no PTE.
+// exactly as a real walk finds no PTE, and so is each absent leaf table as a
+// whole. fn may not map or unmap pages of a: the walk holds on to the leaf
+// table it is in.
 func (a *AddressSpace) Walk(r mem.VARange, fn func(va mem.VA, p mem.PFN)) {
 	r = r.PageAlignInward()
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		a.WalkSteps++
-		if p, ok := a.Translate(va); ok {
-			fn(va, p)
+	end := r.End.PageOf()
+	for vpn := r.Start.PageOf(); vpn < end; {
+		stop := leafEnd(vpn, end)
+		if t := a.dir[vpn>>dirShift]; t != nil {
+			for ; vpn < stop; vpn++ {
+				if p := t.entries[vpn&leafMask]; p != leafEmpty {
+					fn(mem.VA(vpn<<mem.PageShift), p)
+				}
+			}
 		}
+		vpn = stop
 	}
 }
 
 // MapRange allocates fresh frames for every page of the page-aligned range r.
 // On allocation failure it unwinds its own mappings and returns the error.
-// Map panics on an already-mapped page, so every page below the failing one
-// was mapped by this call and the unwind is a walk back over [r.Start, va).
+// An already-mapped page panics as Map does, so every page below the failing
+// one was mapped by this call and the unwind unmaps [r.Start, va) as
+// UnmapRange would.
 func (a *AddressSpace) MapRange(r mem.VARange) error {
 	r = r.PageAlignInward()
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		p, err := a.frames.Alloc()
-		if err != nil {
-			for d := r.Start; d < va; d += mem.PageSize {
-				a.frames.Release(a.Unmap(d))
+	first, end := r.Start.PageOf(), r.End.PageOf()
+	for vpn := first; vpn < end; {
+		di, stop := vpn>>dirShift, leafEnd(vpn, end)
+		t := a.dir[di]
+		for ; vpn < stop; vpn++ {
+			p, err := a.frames.Alloc()
+			if err != nil {
+				a.unmapPages(first, vpn)
+				return fmt.Errorf("pagetable: MapRange(%v): %w", r, err)
 			}
-			return fmt.Errorf("pagetable: MapRange(%v): %w", r, err)
+			if t == nil { // installed at the leaf's first mapping, as Map does
+				if n := len(a.spare); n > 0 {
+					t = a.spare[n-1]
+					a.spare = a.spare[:n-1]
+				} else {
+					t = newPTTable()
+				}
+				a.dir[di] = t
+			}
+			if t.entries[vpn&leafMask] != leafEmpty {
+				panic(fmt.Sprintf("pagetable: Map(%#x): page already mapped", vpn<<mem.PageShift))
+			}
+			t.entries[vpn&leafMask] = p
+			t.used++
+			a.mapped++
 		}
-		a.Map(va, p)
 	}
 	return nil
 }
@@ -316,12 +341,32 @@ func (a *AddressSpace) MapRange(r mem.VARange) error {
 // can no longer be found by page-table walks.
 func (a *AddressSpace) UnmapRange(r mem.VARange) uint64 {
 	r = r.PageAlignInward()
+	return a.unmapPages(r.Start.PageOf(), r.End.PageOf())
+}
+
+// unmapPages unmaps the mapped pages among page numbers [first, end) and
+// releases their frames in ascending order, retiring each leaf table it
+// empties, and returns how many it unmapped.
+func (a *AddressSpace) unmapPages(first, end uint64) uint64 {
 	var n uint64
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		if _, ok := a.Translate(va); ok {
-			a.frames.Release(a.Unmap(va))
-			n++
+	for vpn := first; vpn < end; {
+		di, stop := vpn>>dirShift, leafEnd(vpn, end)
+		if t := a.dir[di]; t != nil {
+			for ; vpn < stop; vpn++ {
+				if p := t.entries[vpn&leafMask]; p != leafEmpty {
+					t.entries[vpn&leafMask] = leafEmpty
+					t.used--
+					a.mapped--
+					n++
+					a.frames.Release(p)
+				}
+			}
+			if t.used == 0 {
+				delete(a.dir, di)
+				a.spare = append(a.spare, t)
+			}
 		}
+		vpn = stop
 	}
 	return n
 }

@@ -55,7 +55,7 @@ examples:
 # compares it against the committed baseline. Deterministic drift and missing
 # entries fail even in report-only mode; timing regressions are advisory here
 # (CI hardware is too noisy for a hard wall-time gate).
-BENCH_BASELINE ?= BENCH_0011.json
+BENCH_BASELINE ?= BENCH_0012.json
 bench-json:
 	mkdir -p bench-artifacts
 	$(GO) run ./cmd/javmm-bench -label ci -out bench-artifacts/bench.json

@@ -23,7 +23,9 @@ type PageStore interface {
 	Write(p PFN) uint64
 	// WritePages records one guest write to each page of ps, in order. The
 	// result equals one Write per page; it exists so a run of pages pays
-	// one interface call and the increments overlap their cache misses.
+	// one interface call and its increments run in one tight loop. The
+	// guest frame allocator spreads a run's pages over the whole store, so
+	// VersionStore keeps a byte per page to hold those increments in cache.
 	WritePages(ps []PFN)
 	// Version returns the page's current version (0 = never written).
 	Version(p PFN) uint64
@@ -46,39 +48,67 @@ type PageStore interface {
 
 // VersionStore is the versioned PageStore used by the deterministic
 // simulations. The zero value is not usable; use NewVersionStore.
+//
+// A page's version is lo[p] | hi[p]<<8: one byte per page, plus a high
+// part that is allocated only when some page first needs it (a write that
+// wraps its low byte, or an import of a version of 256 or more). Simulated
+// pages rarely pass 255, so a 2 GiB VM's versions fit in 512 KiB instead
+// of 4 MiB, and the guest's writes, which the frame allocator spreads over
+// the whole store, stay in the L2 cache instead of missing it. The
+// arithmetic is exact modulo 2^64, as a plain uint64 counter's is.
 type VersionStore struct {
-	versions []uint64
+	lo []uint8  // each page's version mod 256
+	hi []uint64 // each page's version>>8; nil while every version is < 256
 }
 
 // NewVersionStore returns a store of n pages, all at version 0.
 func NewVersionStore(n uint64) *VersionStore {
-	return &VersionStore{versions: make([]uint64, n)}
+	return &VersionStore{lo: make([]uint8, n)}
 }
 
 // NumPages implements PageStore.
-func (s *VersionStore) NumPages() uint64 { return uint64(len(s.versions)) }
+func (s *VersionStore) NumPages() uint64 { return uint64(len(s.lo)) }
 
 // Write implements PageStore.
 func (s *VersionStore) Write(p PFN) uint64 {
-	s.versions[p]++
-	return s.versions[p]
+	if s.lo[p]++; s.lo[p] == 0 {
+		s.highs()[p]++
+	}
+	return s.Version(p)
 }
 
-// WritePages implements PageStore.
+// WritePages implements PageStore. The increments touch only the low
+// bytes; a page whose low byte wraps carries into the high part.
 func (s *VersionStore) WritePages(ps []PFN) {
-	v := s.versions
+	lo := s.lo
 	for _, p := range ps {
-		v[p]++
+		if lo[p]++; lo[p] == 0 {
+			s.highs()[p]++
+		}
 	}
 }
 
+// highs returns the high parts, allocating them at first use.
+func (s *VersionStore) highs() []uint64 {
+	if s.hi == nil {
+		s.hi = make([]uint64, len(s.lo))
+	}
+	return s.hi
+}
+
 // Version implements PageStore.
-func (s *VersionStore) Version(p PFN) uint64 { return s.versions[p] }
+func (s *VersionStore) Version(p PFN) uint64 {
+	v := uint64(s.lo[p])
+	if s.hi != nil {
+		v |= s.hi[p] << 8
+	}
+	return v
+}
 
 // AppendExport implements PageStore. The wire format is the 8-byte
 // big-endian version.
 func (s *VersionStore) AppendExport(dst []byte, p PFN) []byte {
-	return binary.BigEndian.AppendUint64(dst, s.versions[p])
+	return binary.BigEndian.AppendUint64(dst, s.Version(p))
 }
 
 // Import implements PageStore.
@@ -86,12 +116,17 @@ func (s *VersionStore) Import(p PFN, data []byte) error {
 	if len(data) != 8 {
 		return fmt.Errorf("mem: version page payload is %d bytes, want 8", len(data))
 	}
-	s.versions[p] = binary.BigEndian.Uint64(data)
+	v := binary.BigEndian.Uint64(data)
+	s.lo[p] = uint8(v)
+	if s.hi != nil || v>>8 != 0 {
+		s.highs()[p] = v >> 8
+	}
 	return nil
 }
 
 // ImportPages implements PageStore. The versions are decoded in one tight
-// loop once the run's stride is known to be 8.
+// loop once the run's stride is known to be 8; while the store has no high
+// parts, the loop stores low bytes only, until a version needs more.
 func (s *VersionStore) ImportPages(ps []PFN, data []byte) (int, error) {
 	if len(ps) == 0 {
 		return 0, nil
@@ -99,9 +134,24 @@ func (s *VersionStore) ImportPages(ps []PFN, data []byte) (int, error) {
 	if stride := len(data) / len(ps); stride != 8 {
 		return 0, s.Import(ps[0], data[:stride])
 	}
-	v := s.versions
-	for i, p := range ps {
-		v[p] = binary.BigEndian.Uint64(data[8*i:])
+	lo, i := s.lo, 0
+	if s.hi == nil {
+		for ; i < len(ps); i++ {
+			v := binary.BigEndian.Uint64(data[8*i:])
+			if v>>8 != 0 {
+				break
+			}
+			lo[ps[i]] = uint8(v)
+		}
+		if i == len(ps) {
+			return len(ps), nil
+		}
+	}
+	hi := s.highs()
+	for ; i < len(ps); i++ {
+		v := binary.BigEndian.Uint64(data[8*i:])
+		lo[ps[i]] = uint8(v)
+		hi[ps[i]] = v >> 8
 	}
 	return len(ps), nil
 }
